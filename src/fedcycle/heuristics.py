@@ -8,7 +8,8 @@ pure function of (config, split, seed).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .data import Batch, Dataset, augment, normalize
 from .nn import (LayerSpec, ModelState, OptimizerConfig, backward,
                  forward, fresh_opt_state, init_model, loss, opt_step)
 from .partition import Split, pool
-from .schedule import (STOP, ExpDecayPolicy, PlateauPolicy,
+from .schedule import (CONTINUE, STOP, ExpDecayPolicy, PlateauPolicy,
                        PlateauState, exp_decay_lr, observe)
 
 
@@ -64,17 +65,11 @@ class RunResult:
     top_k: int
     transfers: int = 0
     optimizer_steps: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def predict_proba(model: ModelState, features: np.ndarray) -> np.ndarray:
     """Eval-mode output probabilities: (n, 1) sigmoid or (n, C) softmax."""
-    prev = model.mode
-    model.mode = "eval"
-    try:
-        return forward(model, features).probs
-    finally:
-        model.mode = prev
+    return forward(model, features, train=False).probs
 
 
 def _prob_matrix(probs: np.ndarray) -> np.ndarray:
@@ -162,13 +157,14 @@ class _Recorder:
                                     train_acc, val_acc, val_loss))
         return val_loss
 
-    def finish(self, model, models=None, transfers=0, steps=0, extra=None) -> RunResult:
+    def finish(self, model, transfers=0, steps=0) -> RunResult:
         self.test_evaluations += 1
-        assert self.test_evaluations == 1, "test cohort must be scored exactly once"
+        if self.test_evaluations != 1:
+            raise RuntimeError("test cohort must be scored exactly once")
         scores = evaluate(model, self.test, self.cfg.top_k)
         last = self.rows[-1]
         return RunResult(
-            models=models if models is not None else [model],
+            models=[model],
             metrics=self.rows,
             train_accuracy=last.train_accuracy,
             validation_accuracy=last.validation_accuracy,
@@ -177,7 +173,6 @@ class _Recorder:
             top_k=self.cfg.top_k,
             transfers=transfers,
             optimizer_steps=steps,
-            extra=extra or {},
         )
 
 
@@ -194,75 +189,6 @@ def _normalized_cohorts(split: Split):
     return insts, val, test
 
 
-def _plateau_run(cfg: ExperimentConfig, cohort: Dataset, validation: Dataset,
-                 test: Dataset, institution: int | None) -> RunResult:
-    """Shared loop for the single-cohort heuristics (single, central)."""
-    model = _build_model(cfg)
-    rng = _train_rng(cfg)
-    policy = replace(cfg.plateau, patience_scale=1)
-    state = PlateauState.fresh(cfg.optimizer.learning_rate)
-    rec = _Recorder(cfg, validation, test)
-    steps = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        lr = _current_lr(cfg, state, epoch - 1)
-        phase = state.phase
-        steps += train_on(model, cohort, 1, cfg, lr, rng)
-        val_loss = rec.record(model, epoch, phase, institution, lr, cohort)
-        if observe(state, policy, val_loss).kind == STOP:
-            break
-    return rec.finish(model, steps=steps)
-
-
-def run_single_institution(cfg: ExperimentConfig, split: Split, index: int) -> RunResult:
-    if not (0 <= index < len(split.institutions)):
-        raise IndexError(f"institution index {index} out of range")
-    insts, val, test = _normalized_cohorts(split)
-    return _plateau_run(cfg, insts[index], val, test, institution=index)
-
-
-def run_central(cfg: ExperimentConfig, split: Split) -> RunResult:
-    pooled = normalize(pool(split))[0]
-    _, val, test = _normalized_cohorts(split)
-    return _plateau_run(cfg, pooled, val, test, institution=None)
-
-
-def run_ensemble(cfg: ExperimentConfig, split: Split) -> RunResult:
-    """Train one model per institution (seeds seed+i), average output
-    probabilities sample-wise, then threshold/argmax."""
-    insts, val, test = _normalized_cohorts(split)
-    members, rows = [], []
-    steps = 0
-    for i in range(len(split.institutions)):
-        member_cfg = replace(cfg, seed=cfg.seed + i)
-        res = _plateau_run(member_cfg, insts[i], val, test, institution=i)
-        members.append(res.models[0])
-        rows.extend(res.metrics)
-        steps += res.optimizer_steps
-
-    def avg_probs(cohort):
-        return np.mean([_prob_matrix(predict_proba(m, cohort.features))
-                        for m in members], axis=0)
-
-    val_scores = accuracy_from_probs(avg_probs(val), val.labels)
-    test_scores = accuracy_from_probs(avg_probs(test), test.labels, cfg.top_k)
-    pooled = normalize(pool(split))[0]
-    train_scores = accuracy_from_probs(avg_probs(pooled), pooled.labels)
-    return RunResult(
-        models=members,
-        metrics=rows,
-        train_accuracy=train_scores["top1"],
-        validation_accuracy=val_scores["top1"],
-        test_accuracy=test_scores["top1"],
-        test_top_k=test_scores["topk"],
-        top_k=cfg.top_k,
-        optimizer_steps=steps,
-    )
-
-
-def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
-    return np.mean([_prob_matrix(predict_proba(m, features)) for m in models], axis=0)
-
-
 def _handoff(model: ModelState, cfg: ExperimentConfig, channel, *,
              origin: int, destination: int, global_epoch: int) -> ModelState:
     data = transport.serialize(model, global_epoch=global_epoch, origin=origin,
@@ -275,40 +201,113 @@ def _handoff(model: ModelState, cfg: ExperimentConfig, channel, *,
     return new_model
 
 
+def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset, test: Dataset, *,
+                epochs_per_visit: int | None = None, patience_scale: int = 1,
+                plateau_ends_visit: bool = False) -> RunResult:
+    """The training loop behind every heuristic.
+
+    `visits` yields (institution, cohort) pairs. Each visit trains one epoch
+    at a time, records it and feeds its validation loss to one plateau
+    schedule shared by the whole run. A visit lasts `epochs_per_visit`
+    epochs, or until a plateau when that is None. A plateau decays the
+    learning rate and, once the decays are used up, ends the run; with
+    `plateau_ends_visit` any plateau ends the visit instead, and the
+    patience count restarts at the next institution. The model is handed
+    to the next visit's institution through the channel, which is opened at
+    the first hand-off. Hand-offs stop once the run has stopped or spent
+    `max_epochs`.
+    """
+    model = _build_model(cfg)
+    rng = _train_rng(cfg)
+    policy = replace(cfg.plateau, patience_scale=patience_scale)
+    state = PlateauState.fresh(cfg.optimizer.learning_rate)
+    rec = _Recorder(cfg, validation, test)
+    channel = None
+    steps = transfers = epoch = 0
+    stopped = False
+    try:
+        for n, (institution, cohort) in enumerate(visits):
+            if stopped or epoch >= cfg.max_epochs:
+                break
+            if n:
+                channel = channel or transport.make_channel(cfg.transport)
+                model = _handoff(model, cfg, channel, origin=origin,
+                                 destination=institution, global_epoch=epoch)
+                transfers += 1
+                if plateau_ends_visit:
+                    state.epochs_since_improve = 0
+            origin = institution
+            for _ in range(epochs_per_visit or cfg.max_epochs):
+                if epoch >= cfg.max_epochs:
+                    break
+                epoch += 1
+                lr = _current_lr(cfg, state, epoch - 1)
+                phase = state.phase
+                steps += train_on(model, cohort, 1, cfg, lr, rng)
+                val_loss = rec.record(model, epoch, phase, institution, lr, cohort)
+                kind = observe(state, policy, val_loss).kind
+                if plateau_ends_visit and kind != CONTINUE:
+                    break
+                if kind == STOP:
+                    stopped = True
+                    break
+    finally:
+        if channel is not None:
+            channel.close()
+    return rec.finish(model, transfers=transfers, steps=steps)
+
+
+def run_single_institution(cfg: ExperimentConfig, split: Split, index: int) -> RunResult:
+    if not (0 <= index < len(split.institutions)):
+        raise IndexError(f"institution index {index} out of range")
+    insts, val, test = _normalized_cohorts(split)
+    return _run_visits(cfg, [(index, insts[index])], val, test)
+
+
+def run_central(cfg: ExperimentConfig, split: Split) -> RunResult:
+    pooled = normalize(pool(split))[0]
+    _, val, test = _normalized_cohorts(split)
+    return _run_visits(cfg, [(None, pooled)], val, test)
+
+
+def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
+    return np.mean([_prob_matrix(predict_proba(m, features)) for m in models], axis=0)
+
+
+def run_ensemble(cfg: ExperimentConfig, split: Split) -> RunResult:
+    """Train one model per institution (seeds seed+i), average output
+    probabilities sample-wise, then threshold/argmax."""
+    insts, val, test = _normalized_cohorts(split)
+    runs = [_run_visits(replace(cfg, seed=cfg.seed + i), [(i, cohort)], val, test)
+            for i, cohort in enumerate(insts)]
+    members = [res.models[0] for res in runs]
+
+    def score(cohort, k=1):
+        return accuracy_from_probs(ensemble_predict(members, cohort.features),
+                                   cohort.labels, k)
+
+    val_scores = score(val)
+    test_scores = score(test, cfg.top_k)
+    train_scores = score(normalize(pool(split))[0])
+    return RunResult(
+        models=members,
+        metrics=[row for res in runs for row in res.metrics],
+        train_accuracy=train_scores["top1"],
+        validation_accuracy=val_scores["top1"],
+        test_accuracy=test_scores["top1"],
+        test_top_k=test_scores["topk"],
+        top_k=cfg.top_k,
+        optimizer_steps=sum(res.optimizer_steps for res in runs),
+    )
+
+
 def run_single_weight_transfer(cfg: ExperimentConfig, split: Split) -> RunResult:
     """Visit institutions once, in index order, training each to a
     validation plateau (per-institution patience, no decay mid-visit); the
     decay ladder advances at each transfer; plateau at the last institution
     terminates."""
     insts, val, test = _normalized_cohorts(split)
-    k = len(insts)
-    model = _build_model(cfg)
-    rng = _train_rng(cfg)
-    policy = replace(cfg.plateau, patience_scale=1)
-    state = PlateauState.fresh(cfg.optimizer.learning_rate)
-    channel = transport.make_channel(cfg.transport)
-    rec = _Recorder(cfg, val, test)
-    steps = transfers = 0
-    global_epoch = 0
-    try:
-        for i in range(k):
-            while global_epoch < cfg.max_epochs:
-                global_epoch += 1
-                lr = _current_lr(cfg, state, global_epoch - 1)
-                phase = state.phase
-                steps += train_on(model, insts[i], 1, cfg, lr, rng)
-                val_loss = rec.record(model, global_epoch, phase, i, lr, insts[i])
-                action = observe(state, policy, val_loss)
-                if action.kind != "continue":
-                    break  # plateau reached (decay applied if any remained)
-            if i < k - 1:
-                model = _handoff(model, cfg, channel, origin=i, destination=i + 1,
-                                 global_epoch=global_epoch)
-                transfers += 1
-                state.epochs_since_improve = 0
-    finally:
-        channel.close()
-    return rec.finish(model, transfers=transfers, steps=steps)
+    return _run_visits(cfg, enumerate(insts), val, test, plateau_ends_visit=True)
 
 
 def run_cyclical_weight_transfer(cfg: ExperimentConfig, split: Split,
@@ -318,39 +317,8 @@ def run_cyclical_weight_transfer(cfg: ExperimentConfig, split: Split,
     if freq < 1:
         raise ValueError("weight transfer frequency must be >= 1")
     insts, val, test = _normalized_cohorts(split)
-    k = len(insts)
-    model = _build_model(cfg)
-    rng = _train_rng(cfg)
-    policy = replace(cfg.plateau, patience_scale=k)
-    state = PlateauState.fresh(cfg.optimizer.learning_rate)
-    channel = transport.make_channel(cfg.transport)
-    rec = _Recorder(cfg, val, test)
-    steps = transfers = 0
-    global_epoch = 0
-    stopped = False
-    try:
-        visit = 0
-        while not stopped and global_epoch < cfg.max_epochs:
-            i = visit % k
-            for _ in range(freq):
-                global_epoch += 1
-                lr = _current_lr(cfg, state, global_epoch - 1)
-                phase = state.phase
-                steps += train_on(model, insts[i], 1, cfg, lr, rng)
-                val_loss = rec.record(model, global_epoch, phase, i, lr, insts[i])
-                if observe(state, policy, val_loss).kind == STOP:
-                    stopped = True
-                    break
-                if global_epoch >= cfg.max_epochs:
-                    break
-            visit += 1
-            if not stopped and global_epoch < cfg.max_epochs:
-                model = _handoff(model, cfg, channel, origin=i,
-                                 destination=(i + 1) % k, global_epoch=global_epoch)
-                transfers += 1
-    finally:
-        channel.close()
-    return rec.finish(model, transfers=transfers, steps=steps)
+    return _run_visits(cfg, itertools.cycle(enumerate(insts)), val, test,
+                       epochs_per_visit=freq, patience_scale=len(insts))
 
 
 def run_scaling_sweep(cfg: ExperimentConfig, split: Split, m_values,

@@ -105,7 +105,6 @@ class ModelState:
     params: list        # per layer: dict name -> (r, c) array
     bn_running: list    # per layer: {"mean", "var"} for batchnorm, else {}
     opt_state: dict     # {"kind", "step", "slots": per layer dict name -> buffers}
-    mode: str = "train"
 
     @property
     def num_classes(self) -> int:
@@ -131,7 +130,6 @@ class ModelState:
                     for s in self.opt_state["slots"]
                 ],
             },
-            mode=self.mode,
         )
 
 
@@ -186,7 +184,6 @@ def init_model(specs, opt_cfg: OptimizerConfig, rng: np.random.Generator) -> Mod
         params=params,
         bn_running=bn_running,
         opt_state=fresh_opt_state(opt_cfg.kind, params),
-        mode="train",
     )
 
 
@@ -213,15 +210,15 @@ def _softmax(z):
 
 
 def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | None = None,
-            *, apply_dropout: bool = True, update_running: bool = True) -> ForwardPass:
-    """Run the network; caches intermediates when in train mode.
+            *, train: bool = True, apply_dropout: bool = True,
+            update_running: bool = True) -> ForwardPass:
+    """Run the network in train mode, or in eval mode with `train=False`.
 
     In eval mode dropout is the identity and batch norm uses running
     statistics, so the call is pure. In train mode batch norm uses batch
     statistics (and updates the running averages unless told not to) and
     dropout draws a fresh inverted-scaling mask from `rng`.
     """
-    train = model.mode == "train"
     if features.ndim != 2 or features.shape[1] != model.specs[0].in_dim:
         raise ValueError(
             f"expected input width {model.specs[0].in_dim}, got {features.shape}"
@@ -399,12 +396,7 @@ def has_flat_relu(model: ModelState, features: np.ndarray) -> bool:
     Such a unit makes the loss locally flat in its incoming parameters, so
     a finite-difference probe there measures only float round-off.
     """
-    prev = model.mode
-    model.mode = "train"
-    try:
-        fp = forward(model, features, apply_dropout=False, update_running=False)
-    finally:
-        model.mode = prev
+    fp = forward(model, features, apply_dropout=False, update_running=False)
     for spec, cache in zip(model.specs, fp.caches):
         if spec.kind == "relu":
             (x,) = cache
@@ -428,37 +420,33 @@ def grad_check(model: ModelState, batch: Batch, l2_coeff: float = 0.0,
     steps = tuple(h) if isinstance(h, (tuple, list)) else (h,)
     if not steps or any(s <= 0 for s in steps):
         raise ValueError("finite-difference step must be > 0")
-    prev_mode = model.mode
-    model.mode = "train"
-    try:
-        def loss_at():
-            fp = forward(model, batch.features, apply_dropout=False, update_running=False)
-            return loss(fp.probs, batch.labels, model, l2_coeff)
 
+    def loss_at():
         fp = forward(model, batch.features, apply_dropout=False, update_running=False)
-        grads = backward(model, fp, batch.labels, l2_coeff)
-        worst = 0.0
-        for i, name, w in model.param_items():
-            g = grads[i][name]
-            it = np.nditer(w, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                analytic = g[idx]
-                orig = w[idx]
-                best = math.inf
-                for step in steps:
-                    w[idx] = orig + step
-                    hi = loss_at()
-                    w[idx] = orig - step
-                    lo = loss_at()
-                    w[idx] = orig
-                    numeric = (hi - lo) / (2.0 * step)
-                    denom = max(abs(analytic), abs(numeric), 1e-8)
-                    best = min(best, abs(analytic - numeric) / denom)
-                worst = max(worst, best)
-        return worst
-    finally:
-        model.mode = prev_mode
+        return loss(fp.probs, batch.labels, model, l2_coeff)
+
+    fp = forward(model, batch.features, apply_dropout=False, update_running=False)
+    grads = backward(model, fp, batch.labels, l2_coeff)
+    worst = 0.0
+    for i, name, w in model.param_items():
+        g = grads[i][name]
+        it = np.nditer(w, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            analytic = g[idx]
+            orig = w[idx]
+            best = math.inf
+            for step in steps:
+                w[idx] = orig + step
+                hi = loss_at()
+                w[idx] = orig - step
+                lo = loss_at()
+                w[idx] = orig
+                numeric = (hi - lo) / (2.0 * step)
+                denom = max(abs(analytic), abs(numeric), 1e-8)
+                best = min(best, abs(analytic - numeric) / denom)
+            worst = max(worst, best)
+    return worst
 
 
 def gradcheck_suite(n_seeds: int = 20, h=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3)) -> float:

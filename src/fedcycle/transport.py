@@ -187,7 +187,7 @@ def deserialize(data: bytes, specs) -> tuple[ModelState, PacketMeta]:
                 raise FormatError("non-positive running variance")
 
     model = ModelState(specs=specs, params=params, bn_running=bn_running,
-                       opt_state={"kind": None, "step": 0, "slots": []}, mode="train")
+                       opt_state={"kind": None, "step": 0, "slots": []})
     if meta.opt_kind is not None:
         step = take((1, 1))
         opt = fresh_opt_state(meta.opt_kind, params)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fedcycle import transport
 from fedcycle.data import gen_synthetic
-from fedcycle.heuristics import (ExperimentConfig, accuracy_from_probs,
+from fedcycle.heuristics import (ExperimentConfig, _Recorder, accuracy_from_probs,
                                  ensemble_predict, evaluate, mlp_specs,
                                  predict_proba, run_central,
                                  run_cyclical_weight_transfer, run_ensemble,
@@ -177,6 +180,12 @@ class TestSingleWeightTransfer:
         # one decay available: phase B from the first plateau onward
         assert [r.phase for r in res.metrics] == ["A"] * 3 + ["B"] * 6
 
+    def test_no_transfer_after_epoch_budget(self):
+        cfg = replace(self.frozen_config(), max_epochs=4)
+        res = run_single_weight_transfer(cfg, tiny_split(k=4))
+        assert [r.institution for r in res.metrics] == [0, 0, 0, 1]
+        assert res.transfers == 1
+
 
 class TestCyclicalWeightTransfer:
     def test_visit_lengths_match_frequency(self):
@@ -234,6 +243,25 @@ class TestDispatch:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             run_heuristic(tiny_config(), tiny_split(), "gossip")
+
+    @pytest.mark.parametrize("kind", ["single", "central", "ensemble"])
+    def test_no_channel_without_handoff(self, kind, monkeypatch):
+        def refuse(_kind):
+            pytest.fail("a run without hand-offs opened a channel")
+        monkeypatch.setattr(transport, "make_channel", refuse)
+        res = run_heuristic(tiny_config(transport="socket"), tiny_split(), kind)
+        assert res.transfers == 0
+
+
+class TestRecorder:
+    def test_test_cohort_scored_once(self):
+        split, cfg = tiny_split(), tiny_config()
+        model = init_model(cfg.model_specs, cfg.optimizer, np.random.default_rng(0))
+        rec = _Recorder(cfg, split.validation, split.test)
+        rec.record(model, 1, "A", 0, 1e-3, split.institutions[0])
+        rec.finish(model)
+        with pytest.raises(RuntimeError, match="exactly once"):
+            rec.finish(model)
 
 
 class TestEvaluate:

@@ -48,9 +48,8 @@ class TestGlorotInit:
 class TestForward:
     def test_zero_weights_give_half(self):
         m = sigmoid_model([[0, 0], [0, 0]], [0, 0], [0, 0], 0.0)
-        m.mode = "eval"
         for x in ([1.0, 2.0], [-5.0, 3.0], [0.0, 0.0]):
-            fp = forward(m, np.array([x]))
+            fp = forward(m, np.array([x]), train=False)
             assert fp.probs[0, 0] == pytest.approx(0.5)
 
     def test_softmax_symmetry(self):
@@ -59,15 +58,13 @@ class TestForward:
                        np.random.default_rng(0))
         m.params[0]["W"][:] = 0.0
         m.params[0]["b"][:] = 0.0
-        m.mode = "eval"
-        fp = forward(m, np.array([[4.0, -1.0]]))
+        fp = forward(m, np.array([[4.0, -1.0]]), train=False)
         assert np.allclose(fp.probs, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_hand_computed_pass(self):
         # (1,2) -> identity affine -> relu -> head w=(1,-1), b=0
         m = sigmoid_model([[1, 0], [0, 1]], [0, 0], [1, -1], 0.0)
-        m.mode = "eval"
-        fp = forward(m, np.array([[1.0, 2.0]]))
+        fp = forward(m, np.array([[1.0, 2.0]]), train=False)
         assert fp.probs[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(1.0)), abs=1e-4)
         assert fp.probs[0, 0] == pytest.approx(0.2689, abs=1e-4)
 
@@ -76,8 +73,7 @@ class TestForward:
                  LayerSpec("softmax-head", 8, 5)]
         m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1),
                        np.random.default_rng(5))
-        m.mode = "eval"
-        fp = forward(m, np.random.default_rng(1).normal(size=(40, 3)) * 10)
+        fp = forward(m, np.random.default_rng(1).normal(size=(40, 3)) * 10, train=False)
         assert np.allclose(fp.probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_eval_forward_is_pure(self):
@@ -86,10 +82,9 @@ class TestForward:
                  LayerSpec("sigmoid-head", 4, 1)]
         m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1),
                        np.random.default_rng(2))
-        m.mode = "eval"
         x = np.random.default_rng(3).normal(size=(9, 3))
-        out1 = forward(m, x).probs
-        out2 = forward(m, x).probs
+        out1 = forward(m, x, train=False).probs
+        out2 = forward(m, x, train=False).probs
         assert np.array_equal(out1, out2)
 
     def test_train_dropout_deterministic_given_seed(self):
@@ -166,16 +161,14 @@ class TestBackward:
                        np.random.default_rng(0))
         x = np.zeros((4, 2))
         y = np.array([0, 1, 0, 1])
-        m.mode = "train"
-        fp = forward(m, x)
+        fp = forward(m, x, train=True)
         grads = backward(m, fp, y)
         assert np.allclose(grads[0]["W"], 0.0)
         assert not np.allclose(grads[0]["b"], 0.0)
 
     def test_requires_train_pass(self):
         m = sigmoid_model([[1, 0], [0, 1]], [0, 0], [1, -1], 0.0)
-        m.mode = "eval"
-        fp = forward(m, np.array([[1.0, 2.0]]))
+        fp = forward(m, np.array([[1.0, 2.0]]), train=False)
         with pytest.raises(RuntimeError):
             backward(m, fp, np.array([1]))
 
@@ -184,8 +177,7 @@ class TestBackward:
         m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1),
                        np.random.default_rng(1))
         l2 = 0.13
-        m.mode = "train"
-        fp = forward(m, np.random.default_rng(2).normal(size=(6, 2)))
+        fp = forward(m, np.random.default_rng(2).normal(size=(6, 2)), train=True)
         y = np.array([0, 1, 1, 0, 1, 0])
         g_with = backward(m, fp, y, l2_coeff=l2)
         g_without = backward(m, fp, y, l2_coeff=0.0)
@@ -263,9 +255,8 @@ class TestOptStep:
         m = init_model(specs, OptimizerConfig("sgd-momentum", 1e-3, momentum=0.0), rng)
         x = rng.normal(size=(32, 2))
         y = (x[:, 0] > 0).astype(int)
-        m.mode = "train"
         cfg = OptimizerConfig("sgd-momentum", 1e-3, momentum=0.0)
-        fp = forward(m, x)
+        fp = forward(m, x, train=True)
         before = loss(fp.probs, y, m, 0.0)
         grads = backward(m, fp, y, 0.0)
         opt_step(m, grads, cfg, 1e-3)
