@@ -147,6 +147,9 @@ def load_plan(path) -> ExperimentPlan:
     batch_size = _take(train_sec, "training", "batch_size", 32)
     augment_sigma = float(_take(train_sec, "training", "augment_sigma", 0.0))
     carry = _take(train_sec, "training", "carry_optimizer_state", True)
+    if not isinstance(carry, bool):
+        raise ConfigError("training.carry_optimizer_state: must be true or false, "
+                          f"got {carry!r}")
     top_k = _take(train_sec, "training", "top_k", 1)
     max_epochs = _take(train_sec, "training", "max_epochs", 5000)
     _reject_unknown(train_sec, "training")
@@ -185,7 +188,7 @@ def load_plan(path) -> ExperimentPlan:
         batch_size=batch_size,
         augment_sigma=augment_sigma,
         seed=int(seeds[0]),
-        carry_opt_state=bool(carry),
+        carry_opt_state=carry,
         exp_decay=exp_decay,
         top_k=top_k,
         max_epochs=max_epochs,

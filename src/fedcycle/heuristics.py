@@ -9,6 +9,7 @@ pure function of (config, split, seed).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -141,9 +142,13 @@ def train_on(model: ModelState, cohort: Dataset, epochs: int,
 
 
 class _Recorder:
-    """Per-epoch metrics plus a guard that test data is scored exactly once."""
+    """Per-epoch metrics plus a guard that test data is scored exactly once.
 
-    def __init__(self, cfg: ExperimentConfig, validation: Dataset, test: Dataset):
+    Without a test cohort the run is left unscored (NaN test accuracy): an
+    ensemble scores its members together, never one by one.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, validation: Dataset, test: Dataset | None):
         self.cfg = cfg
         self.validation = validation
         self.test = test
@@ -161,7 +166,8 @@ class _Recorder:
         self.test_evaluations += 1
         if self.test_evaluations != 1:
             raise RuntimeError("test cohort must be scored exactly once")
-        scores = evaluate(model, self.test, self.cfg.top_k)
+        scores = (evaluate(model, self.test, self.cfg.top_k) if self.test is not None
+                  else {"top1": math.nan, "topk": math.nan})
         last = self.rows[-1]
         return RunResult(
             models=[model],
@@ -182,11 +188,13 @@ def _current_lr(cfg: ExperimentConfig, state: PlateauState, epoch_index: int) ->
     return state.current_lr
 
 
+def _eval_cohorts(split: Split):
+    return normalize(split.validation)[0], normalize(split.test)[0]
+
+
 def _normalized_cohorts(split: Split):
     insts = [normalize(c)[0] for c in split.institutions]
-    val = normalize(split.validation)[0]
-    test = normalize(split.test)[0]
-    return insts, val, test
+    return (insts, *_eval_cohorts(split))
 
 
 def _handoff(model: ModelState, cfg: ExperimentConfig, channel, *,
@@ -197,13 +205,13 @@ def _handoff(model: ModelState, cfg: ExperimentConfig, channel, *,
                                 global_epoch=global_epoch)
     new_model, _ = transport.deserialize(delivered, model.specs)
     if not cfg.carry_opt_state:
-        new_model.opt_state = fresh_opt_state(cfg.optimizer.kind, new_model.params)
+        new_model.opt_state = fresh_opt_state(cfg.optimizer.kind, new_model.specs)
     return new_model
 
 
-def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset, test: Dataset, *,
-                epochs_per_visit: int | None = None, patience_scale: int = 1,
-                plateau_ends_visit: bool = False) -> RunResult:
+def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset,
+                test: Dataset | None, *, epochs_per_visit: int | None = None,
+                patience_scale: int = 1, plateau_ends_visit: bool = False) -> RunResult:
     """The training loop behind every heuristic.
 
     `visits` yields (institution, cohort) pairs. Each visit trains one epoch
@@ -266,7 +274,7 @@ def run_single_institution(cfg: ExperimentConfig, split: Split, index: int) -> R
 
 def run_central(cfg: ExperimentConfig, split: Split) -> RunResult:
     pooled = normalize(pool(split))[0]
-    _, val, test = _normalized_cohorts(split)
+    val, test = _eval_cohorts(split)
     return _run_visits(cfg, [(None, pooled)], val, test)
 
 
@@ -278,7 +286,7 @@ def run_ensemble(cfg: ExperimentConfig, split: Split) -> RunResult:
     """Train one model per institution (seeds seed+i), average output
     probabilities sample-wise, then threshold/argmax."""
     insts, val, test = _normalized_cohorts(split)
-    runs = [_run_visits(replace(cfg, seed=cfg.seed + i), [(i, cohort)], val, test)
+    runs = [_run_visits(replace(cfg, seed=cfg.seed + i), [(i, cohort)], val, None)
             for i, cohort in enumerate(insts)]
     members = [res.models[0] for res in runs]
 

@@ -6,7 +6,7 @@ readout. Everything is float64 and deterministic given a seeded generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,8 @@ PARAM_ORDER = {
     "relu": (),
     "dropout": (),
 }
+# Optimizer state vectors per optimizer kind, in wire order per parameter.
+OPT_ROLES = {"sgd-momentum": ("v",), "adam": ("m", "v")}
 
 PROB_CLAMP = 1e-12
 BN_EPS = 1e-10
@@ -99,12 +101,40 @@ class Batch:
             raise ValueError("batch must hold at least one sample")
 
 
+def param_shapes(specs):
+    """Yield (layer_index, name, shape) of every parameter in canonical order."""
+    for i, spec in enumerate(specs):
+        for name in PARAM_ORDER[spec.kind]:
+            yield i, name, (spec.in_dim if name == "W" else 1, spec.out_dim)
+
+
+def param_count(specs) -> int:
+    return sum(r * c for _, _, (r, c) in param_shapes(specs))
+
+
+def flat_views(specs, flat: np.ndarray) -> list:
+    """Per layer: dict name -> parameter-shaped view into the vector `flat`."""
+    views = [{} for _ in specs]
+    offset = 0
+    for i, name, (r, c) in param_shapes(specs):
+        views[i][name] = flat[offset:offset + r * c].reshape(r, c)
+        offset += r * c
+    return views
+
+
 @dataclass
 class ModelState:
+    """A model whose parameters live in one float64 vector, `theta`, laid
+    out in canonical (wire) order; `params` holds views into it, so writes
+    must go through the arrays (``w[...] = x``), never rebind them."""
     specs: list
-    params: list        # per layer: dict name -> (r, c) array
+    theta: np.ndarray
     bn_running: list    # per layer: {"mean", "var"} for batchnorm, else {}
-    opt_state: dict     # {"kind", "step", "slots": per layer dict name -> buffers}
+    opt_state: dict     # see fresh_opt_state
+    params: list = field(init=False)  # per layer: dict name -> (r, c) view into theta
+
+    def __post_init__(self):
+        self.params = flat_views(self.specs, self.theta)
 
     @property
     def num_classes(self) -> int:
@@ -113,24 +143,8 @@ class ModelState:
 
     def param_items(self):
         """Yield (layer_index, name, array) in canonical order."""
-        for i, spec in enumerate(self.specs):
-            for name in PARAM_ORDER[spec.kind]:
-                yield i, name, self.params[i][name]
-
-    def copy(self) -> "ModelState":
-        return ModelState(
-            specs=list(self.specs),
-            params=[{k: v.copy() for k, v in p.items()} for p in self.params],
-            bn_running=[{k: v.copy() for k, v in r.items()} for r in self.bn_running],
-            opt_state={
-                "kind": self.opt_state["kind"],
-                "step": self.opt_state["step"],
-                "slots": [
-                    {k: {n: b.copy() for n, b in bufs.items()} for k, bufs in s.items()}
-                    for s in self.opt_state["slots"]
-                ],
-            },
-        )
+        for i, name, _ in param_shapes(self.specs):
+            yield i, name, self.params[i][name]
 
 
 def glorot_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -140,51 +154,35 @@ def glorot_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _zero_slots(kind: str, params):
-    slots = []
-    for layer in params:
-        if kind == "sgd-momentum":
-            slots.append({k: {"v": np.zeros_like(v)} for k, v in layer.items()})
-        else:
-            slots.append(
-                {k: {"m": np.zeros_like(v), "v": np.zeros_like(v)} for k, v in layer.items()}
-            )
-    return slots
-
-
-def fresh_opt_state(kind: str, params) -> dict:
-    return {"kind": kind, "step": 0, "slots": _zero_slots(kind, params)}
+def fresh_opt_state(kind: str, specs) -> dict:
+    """Zeroed optimizer state: one vector the size of theta per role in
+    "flat", and per layer in "slots" dict name -> {role: view into it}."""
+    flat = {role: np.zeros(param_count(specs)) for role in OPT_ROLES[kind]}
+    views = {role: flat_views(specs, vec) for role, vec in flat.items()}
+    slots = [{} for _ in specs]
+    for i, name, _ in param_shapes(specs):
+        slots[i][name] = {role: views[role][i][name] for role in flat}
+    return {"kind": kind, "step": 0, "flat": flat, "slots": slots}
 
 
 def init_model(specs, opt_cfg: OptimizerConfig, rng: np.random.Generator) -> ModelState:
     """Build a ModelState with Glorot-uniform weights (biases included)."""
     specs = validate_specs(specs)
-    params, bn_running = [], []
-    for spec in specs:
+    model = ModelState(specs=specs, theta=np.empty(param_count(specs)),
+                       bn_running=[{} for _ in specs],
+                       opt_state=fresh_opt_state(opt_cfg.kind, specs))
+    for spec, p, run in zip(specs, model.params, model.bn_running):
         if spec.kind in ("affine",) + HEAD_KINDS:
             limit = math.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-            params.append({
-                "W": glorot_init(spec.in_dim, spec.out_dim, rng),
-                # biases share the layer's Glorot limit (same fan pair)
-                "b": rng.uniform(-limit, limit, size=(1, spec.out_dim)),
-            })
-            bn_running.append({})
+            p["W"][...] = glorot_init(spec.in_dim, spec.out_dim, rng)
+            # biases share the layer's Glorot limit (same fan pair)
+            p["b"][...] = rng.uniform(-limit, limit, size=(1, spec.out_dim))
         elif spec.kind == "batchnorm":
             d = spec.out_dim
-            params.append({
-                "gamma": np.ones((1, d)),
-                "beta": np.zeros((1, d)),
-            })
-            bn_running.append({"mean": np.zeros((1, d)), "var": np.ones((1, d))})
-        else:
-            params.append({})
-            bn_running.append({})
-    return ModelState(
-        specs=specs,
-        params=params,
-        bn_running=bn_running,
-        opt_state=fresh_opt_state(opt_cfg.kind, params),
-    )
+            p["gamma"][...] = 1.0
+            p["beta"][...] = 0.0
+            run.update(mean=np.zeros((1, d)), var=np.ones((1, d)))
+    return model
 
 
 @dataclass
@@ -358,35 +356,48 @@ def opt_step(model: ModelState, grads, cfg: OptimizerConfig, lr: float) -> Model
     """Apply one optimizer update in place and return the model.
 
     SGD with momentum: v <- mu*v - lr*g; w <- w + v. Adam uses the standard
-    bias-corrected update.
+    bias-corrected update. Each runs on the whole parameter vector at once,
+    with the same per-element operation order as a per-tensor update.
     """
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
     opt = model.opt_state
     if cfg.kind != opt["kind"]:
         raise ValueError(f"optimizer state is {opt['kind']!r}, config wants {cfg.kind!r}")
-    if cfg.kind == "adam":
-        opt["step"] += 1
-        t = opt["step"]
-        bc1 = 1.0 - cfg.beta1 ** t
-        bc2 = 1.0 - cfg.beta2 ** t
+    flat_grads = []
     for i, name, w in model.param_items():
         g = grads[i][name]
         if g.shape != w.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape {w.shape}")
-        bufs = opt["slots"][i][name]
-        if cfg.kind == "sgd-momentum":
-            v = cfg.momentum * bufs["v"] - lr * g
-            bufs["v"] = v
-            w += v
-        else:
-            bufs["m"] = cfg.beta1 * bufs["m"] + (1.0 - cfg.beta1) * g
-            bufs["v"] = cfg.beta2 * bufs["v"] + (1.0 - cfg.beta2) * g * g
-            mhat = bufs["m"] / bc1
-            vhat = bufs["v"] / bc2
-            w -= lr * mhat / (np.sqrt(vhat) + cfg.epsilon)
-        if not np.all(np.isfinite(w)):
-            raise FloatingPointError(f"non-finite parameter after update (layer {i}, {name})")
+        flat_grads.append(g.ravel())
+    g = np.concatenate(flat_grads)
+    theta = model.theta
+    if cfg.kind == "sgd-momentum":
+        v = opt["flat"]["v"]
+        v *= cfg.momentum
+        v -= lr * g
+        theta += v
+    else:
+        opt["step"] += 1
+        t = opt["step"]
+        m, v = opt["flat"]["m"], opt["flat"]["v"]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        gg = (1.0 - cfg.beta2) * g
+        gg *= g
+        v += gg
+        step = m / (1.0 - cfg.beta1 ** t)
+        step *= lr
+        denom = v / (1.0 - cfg.beta2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += cfg.epsilon
+        step /= denom
+        theta -= step
+    if not np.isfinite(theta).all():
+        i, name = next((i, name) for i, name, w in model.param_items()
+                       if not np.isfinite(w).all())
+        raise FloatingPointError(f"non-finite parameter after update (layer {i}, {name})")
     return model
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import HEAD_KINDS, ModelState, fresh_opt_state, validate_specs
+from .nn import OPT_ROLES, ModelState, fresh_opt_state, param_count, validate_specs
 
 MAGIC = b"FWT1"
 FORMAT_VERSION = 1
@@ -34,7 +34,6 @@ _HEADER = struct.Struct("<4sHQIHB")
 _SHAPE = struct.Struct("<II")
 _OPT_FLAGS = {None: 0, "sgd-momentum": 1, "adam": 2}
 _OPT_KINDS = {v: k for k, v in _OPT_FLAGS.items()}
-_OPT_BUFFERS = {"sgd-momentum": ("v",), "adam": ("m", "v")}
 
 
 class TransportError(Exception):
@@ -78,57 +77,50 @@ def arch_hash(specs) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _tensor_bytes(arr: np.ndarray) -> bytes:
-    a = np.ascontiguousarray(arr, dtype="<f8")
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return _SHAPE.pack(a.shape[0], a.shape[1]) + a.tobytes()
-
-
-def _model_tensors(model: ModelState, carry_opt_state: bool):
-    """Canonical tensor order: params, batch-norm running stats, optimizer."""
+def _model_tensors(model: ModelState, opt_kind: str | None, step: np.ndarray):
+    """Canonical tensor order: params, batch-norm running stats, then with
+    an optimizer kind the (1, 1) `step` and each param's role buffers."""
     for i, name, w in model.param_items():
         yield w
     for spec, run in zip(model.specs, model.bn_running):
         if spec.kind == "batchnorm":
             yield run["mean"]
             yield run["var"]
-    if carry_opt_state:
-        kind = model.opt_state["kind"]
-        yield np.array([[float(model.opt_state["step"])]])
+    if opt_kind is not None:
+        yield step
         for i, name, _ in model.param_items():
             bufs = model.opt_state["slots"][i][name]
-            for bname in _OPT_BUFFERS[kind]:
-                yield bufs[bname]
+            for role in OPT_ROLES[opt_kind]:
+                yield bufs[role]
+
+
+def _vectors(model: ModelState, opt_kind: str | None, step: np.ndarray) -> list:
+    """Every array a packet carries, flat vectors whole: the finiteness
+    checks run once per entry."""
+    out = [model.theta] + [a for run in model.bn_running for a in run.values()]
+    if opt_kind is not None:
+        out += [step, *model.opt_state["flat"].values()]
+    return out
 
 
 def serialize(model: ModelState, *, global_epoch: int = 0, origin: int = 0,
               carry_opt_state: bool = True) -> bytes:
     opt_kind = model.opt_state["kind"] if carry_opt_state else None
+    step = np.array([[float(model.opt_state["step"])]])
+    if not all(np.isfinite(a).all() for a in _vectors(model, opt_kind, step)):
+        raise ValueError("refusing to serialize non-finite parameters")
     chunks = [_HEADER.pack(MAGIC, FORMAT_VERSION, arch_hash(model.specs),
                            global_epoch, origin, _OPT_FLAGS[opt_kind])]
-    for tensor in _model_tensors(model, carry_opt_state):
-        if not np.all(np.isfinite(tensor)):
-            raise ValueError("refusing to serialize non-finite parameters")
-        chunks.append(_tensor_bytes(tensor))
+    for tensor in _model_tensors(model, opt_kind, step):
+        chunks.append(_SHAPE.pack(*tensor.shape))
+        chunks.append(tensor.astype("<f8", copy=False).tobytes())
     body = b"".join(chunks)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _read_tensor(data: bytes, offset: int):
-    if offset + _SHAPE.size > len(data):
-        raise TruncationError("packet ends inside a tensor header")
-    rows, cols = _SHAPE.unpack_from(data, offset)
-    offset += _SHAPE.size
-    nbytes = rows * cols * 8
-    if offset + nbytes > len(data):
-        raise TruncationError("packet ends inside tensor data")
-    arr = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=offset)
-    return arr.reshape(rows, cols).astype(np.float64), offset + nbytes
-
-
-def read_meta(data: bytes) -> PacketMeta:
-    """Parse and verify the header + CRC without reconstructing a model."""
+def _read_table(data: bytes):
+    """Parse and verify the header and CRC; return the metadata and the
+    tensor table, one (rows, cols, data offset) per tensor."""
     if len(data) < _HEADER.size + 4:
         raise TruncationError("packet shorter than header + checksum")
     magic, version, ahash, epoch, origin, opt_flag = _HEADER.unpack_from(data, 0)
@@ -140,68 +132,60 @@ def read_meta(data: bytes) -> PacketMeta:
         raise FormatError(f"unknown optimizer flag {opt_flag}")
     # Walk the tensor table before the CRC so a cut-off stream reports as
     # truncation rather than a checksum mismatch.
-    offset, count = _HEADER.size, 0
-    while offset < len(data) - 4:
-        _, offset = _read_tensor(data, offset)
-        count += 1
-    (crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != crc:
+    table = []
+    offset, end = _HEADER.size, len(data) - 4
+    while offset < end:
+        if offset + _SHAPE.size > len(data):
+            raise TruncationError("packet ends inside a tensor header")
+        rows, cols = _SHAPE.unpack_from(data, offset)
+        offset += _SHAPE.size
+        table.append((rows, cols, offset))
+        offset += rows * cols * 8
+        if offset > len(data):
+            raise TruncationError("packet ends inside tensor data")
+    (crc,) = struct.unpack_from("<I", data, end)
+    if zlib.crc32(memoryview(data)[:end]) != crc:
         raise CorruptionError("CRC-32 mismatch")
-    return PacketMeta(version, ahash, epoch, origin, _OPT_KINDS[opt_flag], count)
+    meta = PacketMeta(version, ahash, epoch, origin, _OPT_KINDS[opt_flag], len(table))
+    return meta, table
+
+
+def read_meta(data: bytes) -> PacketMeta:
+    """Parse and verify the header + CRC without reconstructing a model."""
+    return _read_table(data)[0]
 
 
 def deserialize(data: bytes, specs) -> tuple[ModelState, PacketMeta]:
     """Rebuild a ModelState; the receiver's specs gate architecture."""
     specs = validate_specs(specs)
-    meta = read_meta(data)
+    meta, table = _read_table(data)
     if meta.arch_hash != arch_hash(specs):
         raise ArchitectureMismatchError(
             "packet architecture hash does not match receiver layer specs")
 
-    offset = _HEADER.size
-    end = len(data) - 4
-
-    def take(shape):
-        nonlocal offset
-        arr, offset = _read_tensor(data, offset)
-        if arr.shape != shape:
-            raise FormatError(f"tensor shape {arr.shape} != expected {shape}")
-        return arr
-
-    params, bn_running = [], []
-    for spec in specs:
-        if spec.kind in ("affine",) + HEAD_KINDS:
-            params.append({"W": take((spec.in_dim, spec.out_dim)),
-                           "b": take((1, spec.out_dim))})
-        elif spec.kind == "batchnorm":
-            params.append({"gamma": take((1, spec.out_dim)),
-                           "beta": take((1, spec.out_dim))})
-        else:
-            params.append({})
-        bn_running.append({})
-    for spec, run in zip(specs, bn_running):
-        if spec.kind == "batchnorm":
-            run["mean"] = take((1, spec.out_dim))
-            run["var"] = take((1, spec.out_dim))
-            if np.any(run["var"] <= 0):
-                raise FormatError("non-positive running variance")
-
-    model = ModelState(specs=specs, params=params, bn_running=bn_running,
-                       opt_state={"kind": None, "step": 0, "slots": []})
-    if meta.opt_kind is not None:
-        step = take((1, 1))
-        opt = fresh_opt_state(meta.opt_kind, params)
-        opt["step"] = int(step[0, 0])
-        for i, name, w in model.param_items():
-            for bname in _OPT_BUFFERS[meta.opt_kind]:
-                buf = take(w.shape)
-                opt["slots"][i][name][bname] = buf
-        model.opt_state = opt
-    if offset != end:
+    kind = meta.opt_kind
+    bn_running = [{"mean": np.empty((1, s.out_dim)), "var": np.empty((1, s.out_dim))}
+                  if s.kind == "batchnorm" else {} for s in specs]
+    opt_state = fresh_opt_state(kind, specs) if kind is not None else \
+        {"kind": None, "step": 0, "flat": {}, "slots": []}
+    model = ModelState(specs=specs, theta=np.empty(param_count(specs)),
+                       bn_running=bn_running, opt_state=opt_state)
+    step = np.zeros((1, 1))
+    dests = list(_model_tensors(model, kind, step))
+    for (rows, cols, offset), dest in zip(table, dests):
+        if (rows, cols) != dest.shape:
+            raise FormatError(f"tensor shape {(rows, cols)} != expected {dest.shape}")
+        dest[...] = np.frombuffer(data, dtype="<f8", count=rows * cols,
+                                  offset=offset).reshape(rows, cols)
+    if len(table) < len(dests):
+        raise TruncationError(f"packet holds {len(table)} of {len(dests)} tensors")
+    if len(table) > len(dests):
         raise FormatError("trailing bytes after expected payload")
-    for tensor in _model_tensors(model, meta.opt_kind is not None):
-        if not np.all(np.isfinite(tensor)):
-            raise CorruptionError("non-finite value in payload")
+    if any(np.any(run["var"] <= 0) for run in bn_running if run):
+        raise FormatError("non-positive running variance")
+    if not all(np.isfinite(a).all() for a in _vectors(model, kind, step)):
+        raise CorruptionError("non-finite value in payload")
+    opt_state["step"] = int(step[0, 0])
     return model, meta
 
 
@@ -219,6 +203,9 @@ def read_packet(path) -> bytes:
 
 _LEN = struct.Struct("<Q")
 ACK_OK = b"\x00"
+# Longest wait, in seconds, for any one socket operation of a hand-off. The
+# courier answers at once, so only a dead or stalled one reaches it.
+HANDOFF_TIMEOUT_S = 30.0
 
 
 def send_frame(sock: socket.socket, data: bytes) -> None:
@@ -287,7 +274,8 @@ class SocketChannel:
         port = self._server.getsockname()[1]
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
-        self._sock = socket.create_connection(("127.0.0.1", port))
+        self._sock = socket.create_connection(("127.0.0.1", port),
+                                              timeout=HANDOFF_TIMEOUT_S)
 
     def _serve(self):
         conn, _ = self._server.accept()
@@ -305,7 +293,10 @@ class SocketChannel:
     def handoff(self, data: bytes, *, origin: int, destination: int,
                 global_epoch: int) -> bytes:
         send_frame(self._sock, data)
-        back = recv_frame(self._sock)
+        try:
+            back = recv_frame(self._sock)
+        except (OSError, TruncationError) as exc:
+            raise TransferFailedError(f"receive failed: {exc}") from exc
         if back != data:
             raise CorruptionError("loopback frame mismatch")
         self.log.append(TransferRecord(len(self.log), origin, destination,

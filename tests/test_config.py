@@ -117,6 +117,18 @@ class TestLoadPlan:
         assert plan.base_config.batch_size == 32
         assert plan.base_config.plateau.decay_factor == 0.25
 
+    @pytest.mark.parametrize("value", ['"no"', "1", "null"])
+    def test_carry_optimizer_state_must_be_bool(self, tmp_path, value):
+        path = write_config(tmp_path, **{
+            "batch_size: 16": f"batch_size: 16\n  carry_optimizer_state: {value}"})
+        with pytest.raises(ConfigError, match="carry_optimizer_state"):
+            load_plan(path)
+
+    def test_carry_optimizer_state_false(self, tmp_path):
+        path = write_config(tmp_path, **{
+            "batch_size: 16": "batch_size: 16\n  carry_optimizer_state: false"})
+        assert load_plan(path).base_config.carry_opt_state is False
+
     def test_non_mapping_document(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("- just\n- a\n- list\n")

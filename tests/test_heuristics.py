@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedcycle import transport
-from fedcycle.data import gen_synthetic
+from fedcycle import heuristics, transport
+from fedcycle.data import gen_synthetic, normalize
 from fedcycle.heuristics import (ExperimentConfig, _Recorder, accuracy_from_probs,
                                  ensemble_predict, evaluate, mlp_specs,
                                  predict_proba, run_central,
@@ -127,6 +127,16 @@ class TestSingleAndCentral:
         assert res.optimizer_steps > 0
         assert res.transfers == 0
 
+    def test_central_normalizes_only_cohorts_it_uses(self, monkeypatch):
+        calls = []
+
+        def counting(cohort, stats=None):
+            calls.append(len(cohort))
+            return normalize(cohort, stats)
+        monkeypatch.setattr(heuristics, "normalize", counting)
+        run_central(tiny_config(max_epochs=2), tiny_split(k=4))
+        assert len(calls) == 3  # the pooled cohort, validation and test
+
 
 class TestEnsemble:
     def test_members_differ_by_seed(self):
@@ -135,6 +145,21 @@ class TestEnsemble:
         w0 = res.models[0].params[0]["W"]
         w1 = res.models[1].params[0]["W"]
         assert not np.array_equal(w0, w1)
+
+    def test_members_leave_test_cohort_unscored(self, monkeypatch):
+        split = tiny_split(k=4)
+        test = normalize(split.test)[0]
+        test_evaluations = []
+
+        def counting(model, cohort, k=1):
+            if np.array_equal(cohort.features, test.features):
+                test_evaluations.append(model)
+            return evaluate(model, cohort, k)
+        monkeypatch.setattr(heuristics, "evaluate", counting)
+        res = run_ensemble(tiny_config(max_epochs=3), split)
+        assert test_evaluations == []
+        probs = ensemble_predict(res.models, test.features)
+        assert res.test_accuracy == accuracy_from_probs(probs, test.labels)["top1"]
 
     def test_identical_members_match_single_model(self):
         split = tiny_split()

@@ -14,10 +14,10 @@ def sigmoid_model(W, b, w_head, b_head, opt_kind="sgd-momentum"):
     specs = [LayerSpec("affine", 2, 2), LayerSpec("relu", 2, 2),
              LayerSpec("sigmoid-head", 2, 1)]
     m = init_model(specs, OptimizerConfig(opt_kind, 0.1), np.random.default_rng(0))
-    m.params[0]["W"] = np.array(W, dtype=float)
-    m.params[0]["b"] = np.array(b, dtype=float).reshape(1, -1)
-    m.params[2]["W"] = np.array(w_head, dtype=float).reshape(-1, 1)
-    m.params[2]["b"] = np.array([[b_head]], dtype=float)
+    m.params[0]["W"][...] = np.array(W, dtype=float)
+    m.params[0]["b"][...] = np.array(b, dtype=float).reshape(1, -1)
+    m.params[2]["W"][...] = np.array(w_head, dtype=float).reshape(-1, 1)
+    m.params[2]["b"][...] = np.array([[b_head]], dtype=float)
     return m
 
 
@@ -262,6 +262,73 @@ class TestOptStep:
         opt_step(m, grads, cfg, 1e-3)
         after = loss(forward(m, x).probs, y, m, 0.0)
         assert after < before
+
+
+def reference_step(params, slots, grads, cfg, lr, t):
+    """Per-tensor update on plain per-layer dicts; opt_step must match it
+    bit for bit. `t` is the Adam step count after this update."""
+    for layer, p in enumerate(params):
+        for name, w in p.items():
+            g, bufs = grads[layer][name], slots[layer][name]
+            if cfg.kind == "sgd-momentum":
+                bufs["v"] = cfg.momentum * bufs["v"] - lr * g
+                w += bufs["v"]
+            else:
+                bufs["m"] = cfg.beta1 * bufs["m"] + (1.0 - cfg.beta1) * g
+                bufs["v"] = cfg.beta2 * bufs["v"] + (1.0 - cfg.beta2) * g * g
+                mhat = bufs["m"] / (1.0 - cfg.beta1 ** t)
+                vhat = bufs["v"] / (1.0 - cfg.beta2 ** t)
+                w -= lr * mhat / (np.sqrt(vhat) + cfg.epsilon)
+
+
+class TestFlatStore:
+    SPECS = [LayerSpec("affine", 3, 6), LayerSpec("batchnorm", 6, 6),
+             LayerSpec("relu", 6, 6), LayerSpec("dropout", 6, 6, 0.3),
+             LayerSpec("softmax-head", 6, 3)]
+
+    @pytest.mark.parametrize("kind", ["sgd-momentum", "adam"])
+    def test_opt_step_matches_per_tensor_reference(self, kind):
+        cfg = OptimizerConfig(kind, 0.05, l2_coeff=0.01)
+        rng = np.random.default_rng(4)
+        m = init_model(self.SPECS, cfg, rng)
+        roles = ("v",) if kind == "sgd-momentum" else ("m", "v")
+        params = [{k: w.copy() for k, w in p.items()} for p in m.params]
+        slots = [{k: {r: np.zeros_like(w) for r in roles} for k, w in p.items()}
+                 for p in m.params]
+        for t in range(1, 61):
+            x = rng.normal(size=(16, 3))
+            y = rng.integers(0, 3, 16)
+            grads = backward(m, forward(m, x, rng=rng), y, cfg.l2_coeff)
+            lr = 0.05 if t <= 30 else 0.0125
+            opt_step(m, grads, cfg, lr)
+            reference_step(params, slots, grads, cfg, lr, t)
+        for i, name, w in m.param_items():
+            assert np.array_equal(w, params[i][name])
+            for role in roles:
+                assert np.array_equal(m.opt_state["slots"][i][name][role],
+                                      slots[i][name][role])
+
+    @pytest.mark.parametrize("kind", ["sgd-momentum", "adam"])
+    def test_params_and_slots_are_views_of_flat_vectors(self, kind):
+        m = init_model(self.SPECS, OptimizerConfig(kind, 0.1), np.random.default_rng(0))
+        flat = m.opt_state["flat"]
+        assert m.theta.size == sum(w.size for _, _, w in m.param_items())
+        assert np.array_equal(np.concatenate([w.ravel() for _, _, w in m.param_items()]),
+                              m.theta)
+        for i, name, w in m.param_items():
+            assert np.shares_memory(w, m.theta)
+            for role, buf in m.opt_state["slots"][i][name].items():
+                assert buf.shape == w.shape
+                assert np.shares_memory(buf, flat[role])
+                assert flat[role].size == m.theta.size
+
+    def test_non_finite_update_names_the_tensor(self):
+        m = init_model(self.SPECS, OptimizerConfig("sgd-momentum", 0.1),
+                       np.random.default_rng(0))
+        grads = [{k: np.zeros_like(w) for k, w in p.items()} for p in m.params]
+        grads[1]["beta"][0, 2] = np.inf
+        with pytest.raises(FloatingPointError, match=r"layer 1, beta"):
+            opt_step(m, grads, OptimizerConfig("sgd-momentum", 0.1), 0.1)
 
 
 class TestGradCheck:

@@ -1,14 +1,17 @@
 import socket
 import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
+from fedcycle import transport
 from fedcycle.nn import LayerSpec, ModelState, OptimizerConfig, init_model
 from fedcycle.transport import (ArchitectureMismatchError, CorruptionError,
                                 FormatError, MemoryChannel, SocketChannel,
-                                TruncationError, arch_hash, deserialize,
+                                TransferFailedError, TruncationError,
+                                arch_hash, deserialize,
                                 make_channel, read_meta, read_packet,
                                 recv_frame, send_frame, serialize,
                                 write_packet)
@@ -93,6 +96,78 @@ class TestSerialize:
         assert meta.opt_kind is None
         for (i, n, wa), (_, _, wb) in zip(m.param_items(), back.param_items()):
             assert np.array_equal(wa, wb)
+
+
+def split_packet(data):
+    """A packet's header bytes and its tensors, in wire order."""
+    offset = struct.calcsize("<4sHQIHB")
+    header, tensors = data[:offset], []
+    while offset < len(data) - 4:
+        rows, cols = struct.unpack_from("<II", data, offset)
+        offset += 8
+        tensors.append(np.frombuffer(data, "<f8", rows * cols, offset)
+                       .reshape(rows, cols).copy())
+        offset += rows * cols * 8
+    return header, tensors
+
+
+def join_packet(header, tensors):
+    """The inverse of split_packet, with a freshly computed CRC."""
+    body = header + b"".join(struct.pack("<II", *t.shape) + t.astype("<f8").tobytes()
+                             for t in tensors)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestDeserializeStructure:
+    """Well-formed packets (valid CRC) whose tensors do not fit the specs.
+    Wire order for SPECS with Adam: 6 params, running mean and variance,
+    the step count, then m and v per param."""
+    N_PARAMS = 6
+
+    def tensors(self):
+        m = make_model()
+        data = serialize(m)
+        header, tensors = split_packet(data)
+        assert join_packet(header, tensors) == data
+        assert len(tensors) == self.N_PARAMS + 2 + 1 + 2 * self.N_PARAMS
+        return header, tensors
+
+    def test_views_after_deserialize(self):
+        back, _ = deserialize(serialize(make_model()), SPECS)
+        for i, name, w in back.param_items():
+            assert np.shares_memory(w, back.theta)
+            for role, buf in back.opt_state["slots"][i][name].items():
+                assert np.shares_memory(buf, back.opt_state["flat"][role])
+
+    def test_wrong_tensor_shape(self):
+        header, tensors = self.tensors()
+        tensors[0] = tensors[0].reshape(4, 3)
+        with pytest.raises(FormatError, match="shape"):
+            deserialize(join_packet(header, tensors), SPECS)
+
+    def test_missing_tensor(self):
+        header, tensors = self.tensors()
+        with pytest.raises(TruncationError):
+            deserialize(join_packet(header, tensors[:-1]), SPECS)
+
+    def test_extra_tensor(self):
+        header, tensors = self.tensors()
+        with pytest.raises(FormatError, match="trailing"):
+            deserialize(join_packet(header, tensors + [np.zeros((1, 1))]), SPECS)
+
+    def test_non_positive_running_variance(self):
+        header, tensors = self.tensors()
+        tensors[self.N_PARAMS + 1][0, 2] = 0.0
+        with pytest.raises(FormatError, match="variance"):
+            deserialize(join_packet(header, tensors), SPECS)
+
+    @pytest.mark.parametrize("index", [0, N_PARAMS + 1, N_PARAMS + 2, -1],
+                             ids=["param", "running-var", "step", "adam-v"])
+    def test_non_finite_value(self, index):
+        header, tensors = self.tensors()
+        tensors[index][0, 0] = np.nan
+        with pytest.raises(CorruptionError, match="non-finite"):
+            deserialize(join_packet(header, tensors), SPECS)
 
 
 class TestDeserializeErrors:
@@ -245,6 +320,29 @@ class TestChannels:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_channel("carrier-pigeon")
+
+    @pytest.mark.parametrize("returns_ack", [False, True])
+    def test_stalled_courier_times_out(self, monkeypatch, returns_ack):
+        """A courier that never acknowledges the frame, or acknowledges it
+        but never sends it back, fails the hand-off instead of hanging."""
+        class StalledChannel(SocketChannel):
+            def _serve(self):
+                conn, _ = self._server.accept()
+                with conn:
+                    if returns_ack:
+                        recv_frame(conn)
+                    while conn.recv(65536):
+                        pass
+
+        monkeypatch.setattr(transport, "HANDOFF_TIMEOUT_S", 0.2)
+        channel = StalledChannel()
+        try:
+            with pytest.raises(TransferFailedError):
+                channel.handoff(b"abc", origin=0, destination=1, global_epoch=0)
+            assert channel.log == []
+        finally:
+            channel.close()
+        assert not channel._thread.is_alive()
 
     def test_socket_channel_many_handoffs(self):
         channel = SocketChannel()
