@@ -11,10 +11,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import transport
-from .config import ConfigError, HeuristicSection, build_experiment, load_plan
+from .config import ConfigError, build_experiment, load_plan
 from .heuristics import run_heuristic, run_scaling_sweep
 from .nn import gradcheck_suite
-from .partition import stratified_split, write_manifest
+from .partition import CapacityError, stratified_split, write_manifest
 
 METRICS_COLUMNS = ["global_epoch", "phase", "institution", "learning_rate",
                    "train_acc", "val_acc", "val_loss"]
@@ -91,9 +91,10 @@ def _prepare(args):
         seeds = (override,)
     heuristic = plan.heuristic
     if args.freq is not None:
-        heuristic = HeuristicSection(kind=heuristic.kind, frequency=args.freq,
-                                     institution=heuristic.institution,
-                                     m_values=heuristic.m_values)
+        try:
+            heuristic = replace(heuristic, frequency=args.freq)
+        except ValueError as exc:
+            raise ConfigError(f"--freq: {exc}") from exc
     dataset, base_cfg = build_experiment(plan)
     if args.transport:
         base_cfg = replace(base_cfg, transport=args.transport)
@@ -140,7 +141,11 @@ def cmd_sweep(args) -> int:
     per_seed = {}
     for seed in seeds:
         cfg = replace(base_cfg, seed=seed)
-        rows = run_scaling_sweep(cfg, split, m_values, freq=heuristic.frequency)
+        try:
+            rows = run_scaling_sweep(cfg, split, m_values, freq=heuristic.frequency)
+        except Exception as exc:
+            print(f"error: sweep failed at seed {seed}: {exc}", file=sys.stderr)
+            return 1
         per_seed[seed] = {m: acc for m, acc in rows}
     table = []
     for m in m_values:
@@ -232,7 +237,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, CapacityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except transport.TransportError as exc:

@@ -1,7 +1,13 @@
-"""Experiment file parsing: YAML (or JSON) -> validated experiment plan."""
+"""Experiment file parsing: YAML (or JSON) -> validated experiment plan.
+
+Each section is read against the signature of the dataclass or function it
+feeds, which names the section's keys and gives their types and defaults.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, replace
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 import yaml
@@ -11,6 +17,10 @@ from .heuristics import ExperimentConfig, mlp_specs
 from .nn import OptimizerConfig
 from .partition import SplitPlan
 from .schedule import ExpDecayPolicy, PlateauPolicy
+
+# The config key of each parameter whose key is not its name; None marks a
+# parameter that no experiment file sets (the CLI's --transport sets it).
+_KEYS = {"l2_coeff": "l2", "carry_opt_state": "carry_optimizer_state", "transport": None}
 
 
 class ConfigError(ValueError):
@@ -22,7 +32,16 @@ class HeuristicSection:
     kind: str                 # single | central | ensemble | single_transfer | cyclical | sweep
     frequency: int = 1
     institution: int = 0
-    m_values: tuple = ()
+    m_values: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in ("single", "central", "ensemble", "single_transfer",
+                             "cyclical", "sweep"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if self.frequency < 1:
+            raise ValueError("frequency must be >= 1")
+        if self.kind == "sweep" and not self.m_values:
+            raise ValueError("m_values is required for sweep runs")
 
 
 @dataclass(frozen=True)
@@ -36,53 +55,92 @@ class ExperimentPlan:
     output_dir: str
 
 
-def _section(doc: dict, name: str, required: bool = True) -> dict:
-    if name not in doc:
-        if required:
-            raise ConfigError(f"missing section {name!r}")
-        return {}
-    val = doc[name]
-    if not isinstance(val, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
-    return dict(val)
+def _check(value, ann, where: str):
+    """``value`` as the annotated type: an int passes as a float, and a bool
+    only as a bool. Raises ConfigError naming ``where`` otherwise."""
+    origin = get_origin(ann)
+    if origin in (list, tuple):
+        if isinstance(value, list):
+            return origin(_check(v, get_args(ann)[0], f"{where}[{i}]")
+                          for i, v in enumerate(value))
+        ann = f"a list of {get_args(ann)[0].__name__}"
+    elif origin is Literal:
+        if value in get_args(ann):
+            return value
+        ann = " or ".join(map(repr, get_args(ann)))
+    elif ann is float and type(value) is int:
+        return float(value)
+    elif isinstance(value, ann) and (ann is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{where}: expected {getattr(ann, '__name__', ann)}, got {value!r}")
 
 
-def _take(section: dict, where: str, key: str, default=None, required: bool = False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"{where}: missing key {key!r}")
-        return default
-    return section.pop(key)
+def _read(target, section: dict, where: str, **fixed):
+    """Call ``target`` with the keys of ``section``, named, typed and defaulted
+    by its signature; ``fixed`` arguments are passed as given and are not keys."""
+    at = f"{where}." if where else ""
+    keys = {_KEYS.get(name, name): p
+            for name, p in inspect.signature(target, eval_str=True).parameters.items()
+            if name not in fixed and _KEYS.get(name, name)}
+    unknown = sorted(map(str, set(section) - set(keys)))
+    if unknown:
+        raise ConfigError(f"{where or 'top level'}: unknown key(s): {', '.join(unknown)}")
+    args = dict(fixed)
+    for key, p in keys.items():
+        if key in section:
+            args[p.name] = _check(section[key], p.annotation, at + key)
+        elif p.default is p.empty:
+            raise ConfigError(f"{at}{key}: required key is missing")
+    try:
+        return target(**args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
-def _reject_unknown(section: dict, where: str):
-    if section:
-        raise ConfigError(f"{where}: unknown key(s): {', '.join(sorted(section))}")
+
+def _model(hidden: list[int] = (32, 32), batchnorm: bool = False,
+           dropout: float = 0.0) -> dict:
+    mlp_specs(1, hidden, 2, batchnorm=batchnorm, dropout=dropout)  # checks widths and rate
+    return {"hidden": list(hidden), "batchnorm": batchnorm, "dropout": dropout}
+
+
+def _schedule(kind: Literal["plateau", "exp"] = "plateau", patience: int = 20,
+              decay_factor: float = 0.25, max_decays: int = 3, decay: float = 0.99,
+              period: int = 1):
+    """The plateau policy, and the exponential decay that overrides it if ``kind`` is exp."""
+    plateau = PlateauPolicy(patience, decay_factor, max_decays)
+    return plateau, ExpDecayPolicy(decay, period) if kind == "exp" else None
+
+
+def _plan(dataset: dict, split: dict, model: dict, optimizer: dict, schedule: dict,
+          heuristic: dict, training: dict = {}, seeds: list[int] = (0,),
+          output_dir: str = "out") -> ExperimentPlan:
+    """The top level of an experiment file: one argument per section."""
+    split_plan = _read(SplitPlan, split, "split")
+    heur = _read(HeuristicSection, heuristic, "heuristic")
+    k = split_plan.k
+    if not all(1 <= m <= k for m in heur.m_values):
+        raise ConfigError(f"heuristic.m_values: each must be in 1..{k} (split.k)")
+    if heur.kind == "single" and not 0 <= heur.institution < k:
+        raise ConfigError(f"heuristic.institution: must be in 0..{k - 1} (split.k - 1)")
+    if not seeds:
+        raise ConfigError("seeds: must be a non-empty list of integers")
+    plateau, exp_decay = _read(_schedule, schedule, "schedule")
+    # model_specs depend on the dataset and are filled in build_experiment.
+    base = _read(ExperimentConfig, training, "training", model_specs=[],
+                 optimizer=_read(OptimizerConfig, {"kind": "sgd-momentum", **optimizer},
+                                 "optimizer"),
+                 plateau=plateau, exp_decay=exp_decay, seed=seeds[0])
+    return ExperimentPlan(dataset=dataset, split_plan=split_plan, heuristic=heur,
+                          base_config=base, model_shape=_read(_model, model, "model"),
+                          seeds=tuple(seeds), output_dir=output_dir)
 
 
 def build_dataset(section: dict) -> Dataset:
-    sec = dict(section)
-    kind = _take(sec, "dataset", "kind", required=True)
-    if kind == "csv":
-        path = _take(sec, "dataset", "path", required=True)
-        _reject_unknown(sec, "dataset")
-        return load_csv(path)
-    if kind not in ("rings", "blobs"):
-        raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
-    args = {
-        "n_patients": _take(sec, "dataset", "n_patients", required=True),
-        "samples_per_patient": _take(sec, "dataset", "samples_per_patient", 2),
-        "num_classes": _take(sec, "dataset", "num_classes", 2),
-        "noise_rate": _take(sec, "dataset", "noise_rate", 0.0),
-        "feature_dim": _take(sec, "dataset", "feature_dim", 2),
-    }
-    optional = {}
-    for key in ("patient_spread", "sample_jitter", "ring_gap", "blob_radius"):
-        if key in sec:
-            optional[key] = sec.pop(key)
-    seed = _take(sec, "dataset", "seed", 0)
-    _reject_unknown(sec, "dataset")
-    rng = np.random.default_rng([int(seed), 2])
-    return gen_synthetic(kind, rng=rng, **args, **optional)
+    if section.get("kind") == "csv":
+        return _read(load_csv, {k: v for k, v in section.items() if k != "kind"}, "dataset")
+    seed = _check(section.get("seed", 0), int, "dataset.seed")
+    return _read(gen_synthetic, {k: v for k, v in section.items() if k != "seed"},
+                 "dataset", rng=np.random.default_rng([seed, 2]))
 
 
 def load_plan(path) -> ExperimentPlan:
@@ -93,125 +151,15 @@ def load_plan(path) -> ExperimentPlan:
             raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    doc = dict(doc)
-
-    dataset_sec = _section(doc, "dataset")
-
-    split_sec = _section(doc, "split")
-    split_plan = SplitPlan(
-        k=_take(split_sec, "split", "k", required=True),
-        patients_per_institution=_take(split_sec, "split", "patients_per_institution",
-                                       required=True),
-        patients_validation=_take(split_sec, "split", "patients_validation", required=True),
-        patients_test=_take(split_sec, "split", "patients_test", required=True),
-        seed=_take(split_sec, "split", "seed", 0),
-    )
-    _reject_unknown(split_sec, "split")
-
-    model_sec = _section(doc, "model")
-    hidden = _take(model_sec, "model", "hidden", [32, 32])
-    batchnorm = _take(model_sec, "model", "batchnorm", False)
-    dropout = float(_take(model_sec, "model", "dropout", 0.0))
-    _reject_unknown(model_sec, "model")
-
-    opt_sec = _section(doc, "optimizer")
-    optimizer = OptimizerConfig(
-        kind=_take(opt_sec, "optimizer", "kind", "sgd-momentum"),
-        learning_rate=float(_take(opt_sec, "optimizer", "learning_rate", required=True)),
-        momentum=float(_take(opt_sec, "optimizer", "momentum", 0.9)),
-        beta1=float(_take(opt_sec, "optimizer", "beta1", 0.9)),
-        beta2=float(_take(opt_sec, "optimizer", "beta2", 0.999)),
-        epsilon=float(_take(opt_sec, "optimizer", "epsilon", 1e-8)),
-        l2_coeff=float(_take(opt_sec, "optimizer", "l2", 0.0)),
-    )
-    _reject_unknown(opt_sec, "optimizer")
-
-    sched_sec = _section(doc, "schedule")
-    plateau = PlateauPolicy(
-        patience=_take(sched_sec, "schedule", "patience", 20),
-        decay_factor=float(_take(sched_sec, "schedule", "decay_factor", 0.25)),
-        max_decays=_take(sched_sec, "schedule", "max_decays", 3),
-    )
-    exp_decay = None
-    if _take(sched_sec, "schedule", "kind", "plateau") == "exp":
-        exp_decay = ExpDecayPolicy(
-            decay_per_period=float(_take(sched_sec, "schedule", "decay", 0.99)),
-            period=_take(sched_sec, "schedule", "period", 1),
-        )
-    else:
-        _take(sched_sec, "schedule", "decay", None)
-        _take(sched_sec, "schedule", "period", None)
-    _reject_unknown(sched_sec, "schedule")
-
-    train_sec = _section(doc, "training", required=False)
-    batch_size = _take(train_sec, "training", "batch_size", 32)
-    augment_sigma = float(_take(train_sec, "training", "augment_sigma", 0.0))
-    carry = _take(train_sec, "training", "carry_optimizer_state", True)
-    if not isinstance(carry, bool):
-        raise ConfigError("training.carry_optimizer_state: must be true or false, "
-                          f"got {carry!r}")
-    top_k = _take(train_sec, "training", "top_k", 1)
-    max_epochs = _take(train_sec, "training", "max_epochs", 5000)
-    _reject_unknown(train_sec, "training")
-
-    heur_sec = _section(doc, "heuristic")
-    kind = _take(heur_sec, "heuristic", "kind", required=True)
-    if kind not in ("single", "central", "ensemble", "single_transfer",
-                    "cyclical", "sweep"):
-        raise ConfigError(f"heuristic.kind: unknown kind {kind!r}")
-    heuristic = HeuristicSection(
-        kind=kind,
-        frequency=_take(heur_sec, "heuristic", "frequency", 1),
-        institution=_take(heur_sec, "heuristic", "institution", 0),
-        m_values=tuple(_take(heur_sec, "heuristic", "m_values", []) or []),
-    )
-    _reject_unknown(heur_sec, "heuristic")
-    if heuristic.kind == "sweep" and not heuristic.m_values:
-        raise ConfigError("heuristic.m_values: required for sweep runs")
-
-    seeds = doc.pop("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or \
-            not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("seeds: must be a non-empty list of integers")
-    output_dir = doc.pop("output_dir", "out")
-    doc.pop("dataset"); doc.pop("split"); doc.pop("model")
-    doc.pop("optimizer"); doc.pop("schedule"); doc.pop("training", None)
-    doc.pop("heuristic")
-    _reject_unknown(doc, "top level")
-
-    # feature_dim / num_classes come from the dataset section for synthetic
-    # data; for CSV they are resolved after loading (see build_experiment).
-    base = ExperimentConfig(
-        model_specs=[],  # filled in build_experiment
-        optimizer=optimizer,
-        plateau=plateau,
-        batch_size=batch_size,
-        augment_sigma=augment_sigma,
-        seed=int(seeds[0]),
-        carry_opt_state=carry,
-        exp_decay=exp_decay,
-        top_k=top_k,
-        max_epochs=max_epochs,
-    )
-    return ExperimentPlan(
-        dataset=dataset_sec,
-        split_plan=split_plan,
-        heuristic=heuristic,
-        base_config=base,
-        model_shape={"hidden": list(hidden), "batchnorm": bool(batchnorm),
-                     "dropout": dropout},
-        seeds=tuple(int(s) for s in seeds),
-        output_dir=str(output_dir),
-    )
+    return _read(_plan, doc, "")
 
 
 def build_experiment(plan: ExperimentPlan):
     """Materialize the dataset and fill in the model specs."""
-    from dataclasses import replace
-
     dataset = build_dataset(plan.dataset)
-    shape = plan.model_shape
-    specs = mlp_specs(dataset.feature_dim, shape["hidden"], dataset.num_classes,
-                      batchnorm=shape["batchnorm"], dropout=shape["dropout"])
-    cfg = replace(plan.base_config, model_specs=specs)
-    return dataset, cfg
+    if plan.base_config.top_k > dataset.num_classes:
+        raise ConfigError(f"training.top_k: {plan.base_config.top_k} exceeds the "
+                          f"dataset's {dataset.num_classes} classes")
+    specs = mlp_specs(dataset.feature_dim, num_classes=dataset.num_classes,
+                      **plan.model_shape)
+    return dataset, replace(plan.base_config, model_specs=specs)

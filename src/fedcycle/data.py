@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +67,9 @@ class NormStats:
     std: np.ndarray   # (d,)
 
 
-def gen_synthetic(kind: str, n_patients: int, samples_per_patient: int,
-                  num_classes: int, noise_rate: float, feature_dim: int,
-                  rng: np.random.Generator, *,
+def gen_synthetic(kind: str, n_patients: int, samples_per_patient: int = 2,
+                  num_classes: int = 2, noise_rate: float = 0.0, feature_dim: int = 2, *,
+                  rng: np.random.Generator,
                   patient_spread: float = 0.35, sample_jitter: float = 0.25,
                   ring_gap: float = 1.0, blob_radius: float = 3.0) -> Dataset:
     """Generate a patient-grouped classification task.
@@ -161,7 +162,7 @@ def augment(batch: Batch, sigma: float, rng: np.random.Generator) -> Batch:
     return Batch(features=noisy, labels=batch.labels)
 
 
-def load_csv(path) -> Dataset:
+def load_csv(path: str | os.PathLike) -> Dataset:
     """Read the ``patient_id,label,f0..f{d-1}`` schema written by export_csv."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

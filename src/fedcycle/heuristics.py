@@ -42,6 +42,8 @@ class ExperimentConfig:
             raise ValueError("batch_size must be >= 1")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
+        if self.augment_sigma < 0:
+            raise ValueError("augment_sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -268,8 +270,8 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset,
 def run_single_institution(cfg: ExperimentConfig, split: Split, index: int) -> RunResult:
     if not (0 <= index < len(split.institutions)):
         raise IndexError(f"institution index {index} out of range")
-    insts, val, test = _normalized_cohorts(split)
-    return _run_visits(cfg, [(index, insts[index])], val, test)
+    cohort = normalize(split.institutions[index])[0]
+    return _run_visits(cfg, [(index, cohort)], *_eval_cohorts(split))
 
 
 def run_central(cfg: ExperimentConfig, split: Split) -> RunResult:
@@ -371,7 +373,7 @@ def mlp_specs(in_dim: int, hidden, num_classes: int, *,
             specs.append(LayerSpec("batchnorm", h, h))
         specs.append(LayerSpec("relu", h, h))
         width = h
-    if dropout > 0.0:
+    if dropout != 0.0:  # a negative rate reaches LayerSpec, which rejects it
         specs.append(LayerSpec("dropout", width, width, dropout_rate=dropout))
     if num_classes == 2:
         specs.append(LayerSpec("sigmoid-head", width, 1))

@@ -5,6 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from fedcycle import cli
 from fedcycle.cli import METRICS_COLUMNS, main
 from fedcycle.nn import LayerSpec, OptimizerConfig, init_model
 from fedcycle.transport import serialize, write_packet
@@ -128,12 +129,39 @@ class TestRun:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 
-    def test_runtime_error_names_heuristic_and_seed(self, tmp_path, capsys):
-        # top_k larger than the class count fails inside the run
-        path = patch_config(tmp_path, **{"max_epochs: 40": "max_epochs: 40\n  top_k: 5"})
-        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    def test_runtime_error_names_heuristic_and_seed(self, config_path, tmp_path,
+                                                    capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("diverged")
+        monkeypatch.setattr(cli, "run_heuristic", failing)
+        assert main(["run", str(config_path), "--output-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert "central" in err and "seed 1" in err
+        assert "central" in err and "seed 1" in err and "diverged" in err
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("patience: 3", 'patience: "10"', "schedule.patience"),
+        ("hidden: [8]", "hidden: 16", "model.hidden"),
+        ("learning_rate: 0.001", "learning_rate: true", "optimizer.learning_rate"),
+        ("max_epochs: 40", "max_epochs: 40\n  top_k: 5", "training.top_k"),
+        ("kind: central", "kind: single\n  institution: 2", "heuristic.institution"),
+    ])
+    def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, old, new, key):
+        path = patch_config(tmp_path, **{old: new})
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {key}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_freq_flag_exits_2(self, config_path, capsys):
+        assert main(["run", str(config_path), "--freq", "0"]) == 2
+        assert "--freq" in capsys.readouterr().err
+
+    def test_unfillable_split_exits_2(self, tmp_path, capsys):
+        path = patch_config(tmp_path, **{"n_patients: 160": "n_patients: 60"})
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 class TestSweep:
@@ -146,6 +174,27 @@ class TestSweep:
         assert [row["m"] for row in payload["curve"]] == [1, 2]
         for row in payload["curve"]:
             assert 0.0 <= row["test_accuracy_mean"] <= 1.0
+
+
+    def test_failing_seed_exits_1(self, tmp_path, capsys, monkeypatch):
+        path = patch_config(tmp_path, **{
+            "kind: central": "kind: sweep\n  m_values: [1, 2]",
+            "seeds: [1]": "seeds: [1, 2]"})
+        real = cli.run_scaling_sweep
+
+        def failing_at_2(cfg, *args, **kwargs):
+            if cfg.seed == 2:
+                raise ValueError("diverged")
+            return real(cfg, *args, **kwargs)
+        monkeypatch.setattr(cli, "run_scaling_sweep", failing_at_2)
+        assert main(["sweep", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: sweep failed at seed 2: diverged\n"
+
+    def test_m_values_above_k_exits_2(self, tmp_path, capsys):
+        path = patch_config(tmp_path, **{
+            "kind: central": "kind: sweep\n  m_values: [1, 3]"})
+        assert main(["sweep", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: heuristic.m_values: ")
 
 
 class TestGradcheck:

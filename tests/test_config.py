@@ -1,3 +1,4 @@
+import re
 import textwrap
 
 import numpy as np
@@ -172,3 +173,97 @@ class TestBuildDataset:
                             "patient_spread": 0.1, "sample_jitter": 0.1})
         r = np.linalg.norm(ds.features[:, :2], axis=1)
         assert r[ds.labels == 1].min() > r[ds.labels == 0].max()
+
+
+def load_and_build(path):
+    return build_experiment(load_plan(path))
+
+
+# Each case: (text in BASE_YAML, its replacement, the key the error must name).
+WRONG_VALUES = [
+    ("k: 2", 'k: "2"', "split.k"),
+    ("k: 2", "k: true", "split.k"),
+    ("patience: 5", 'patience: "5"', "schedule.patience"),
+    ("batch_size: 16", 'batch_size: "16"', "training.batch_size"),
+    ("frequency: 2", 'frequency: "2"', "heuristic.frequency"),
+    ("n_patients: 120", 'n_patients: "120"', "dataset.n_patients"),
+    ("batch_size: 16", 'batch_size: 16\n  top_k: "1"', "training.top_k"),
+    ("batch_size: 16", "batch_size: 32.5", "training.batch_size"),
+    ("seed: 3", "seed: 1.5", "dataset.seed"),
+    ("learning_rate: 0.001", "learning_rate: true", "optimizer.learning_rate"),
+    ("hidden: [16, 8]", 'hidden: [16, 8]\n  batchnorm: "yes"', "model.batchnorm"),
+    ("hidden: [16, 8]", "hidden: 16", "model.hidden"),
+    ("hidden: [16, 8]", "hidden: [16.5]", "model.hidden"),
+    ("frequency: 2", "frequency: 2\n  m_values: 3", "heuristic.m_values"),
+    ("batch_size: 16", "batch_size: 16\n  max_epochs: null", "training.max_epochs"),
+    ("output_dir: out", "output_dir: 5", "output_dir"),
+    ("seed: 3", 'seed: 3\n  ring_gap: "big"', "dataset.ring_gap"),
+    ("patience: 5", "kind: expo\n  patience: 5", "schedule.kind"),
+]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("old,new,key", WRONG_VALUES,
+                             ids=[f"{key}={new.split(': ')[-1]}"
+                                  for _, new, key in WRONG_VALUES])
+    def test_wrong_value_names_key(self, tmp_path, old, new, key):
+        assert BASE_YAML.count(old) == 1
+        path = write_config(tmp_path, **{old: new})
+        with pytest.raises(ConfigError, match=rf"(^|\s){re.escape(key)}\b"):
+            load_and_build(path)
+
+    def test_int_accepted_for_float(self, tmp_path):
+        path = write_config(tmp_path, **{"learning_rate: 0.001": "learning_rate: 1",
+                                         "augment_sigma: 0.1": "augment_sigma: 0"})
+        cfg = load_plan(path).base_config
+        assert cfg.optimizer.learning_rate == 1.0
+        assert type(cfg.optimizer.learning_rate) is float
+        assert type(cfg.augment_sigma) is float
+
+    def test_renamed_keys(self, tmp_path):
+        path = write_config(tmp_path, **{
+            "learning_rate: 0.001": "learning_rate: 0.001\n  l2: 0.5",
+            "patience: 5": "kind: exp\n  decay: 0.5\n  patience: 5"})
+        cfg = load_plan(path).base_config
+        assert cfg.optimizer.l2_coeff == 0.5
+        assert cfg.exp_decay.decay_per_period == 0.5
+
+    @pytest.mark.parametrize("anchor,key", [
+        ("batch_size: 16", "transport"), ("batch_size: 16", "seed"),
+        ("batch_size: 16", "carry_opt_state"), ("learning_rate: 0.001", "l2_coeff"),
+        ("patience: 5", "decay_per_period")])
+    def test_internal_names_are_not_keys(self, tmp_path, anchor, key):
+        path = write_config(tmp_path, **{anchor: f"{anchor}\n  {key}: 1"})
+        with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+            load_plan(path)
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("frequency: 2", "frequency: 2\n  m_values: [1, 3]", "heuristic.m_values"),
+        ("frequency: 2", "frequency: 2\n  m_values: [0]", "heuristic.m_values"),
+        ("kind: cyclical", "kind: single\n  institution: 2", "heuristic.institution"),
+        ("frequency: 2", "frequency: 0", "frequency"),
+        ("augment_sigma: 0.1", "augment_sigma: -0.1", "augment_sigma"),
+        ("hidden: [16, 8]", "hidden: [16, 0]", "model"),
+        ("hidden: [16, 8]", "hidden: [16]\n  dropout: 1.5", "model"),
+        ("hidden: [16, 8]", "hidden: [16]\n  dropout: -0.1", "model"),
+        ("n_patients: 120", "n_patients: 1", "dataset"),
+    ])
+    def test_invalid_value_fails_at_load(self, tmp_path, old, new, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_and_build(write_config(tmp_path, **{old: new}))
+
+    def test_institution_ignored_unless_single(self, tmp_path):
+        path = write_config(tmp_path, **{"frequency: 2": "frequency: 2\n  institution: 9"})
+        assert load_plan(path).heuristic.institution == 9
+
+    def test_top_k_above_class_count(self, tmp_path):
+        path = write_config(tmp_path, **{"batch_size: 16": "batch_size: 16\n  top_k: 3"})
+        plan = load_plan(path)
+        with pytest.raises(ConfigError, match="training.top_k"):
+            build_experiment(plan)
+
+    def test_bad_csv_is_config_error(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_text("patient_id,label,f0\np0,x,1.0\n")
+        with pytest.raises(ConfigError, match="dataset"):
+            build_dataset({"kind": "csv", "path": str(path)})

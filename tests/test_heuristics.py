@@ -127,15 +127,16 @@ class TestSingleAndCentral:
         assert res.optimizer_steps > 0
         assert res.transfers == 0
 
-    def test_central_normalizes_only_cohorts_it_uses(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["central", "single"])
+    def test_normalizes_only_cohorts_it_uses(self, monkeypatch, kind):
         calls = []
 
         def counting(cohort, stats=None):
             calls.append(len(cohort))
             return normalize(cohort, stats)
         monkeypatch.setattr(heuristics, "normalize", counting)
-        run_central(tiny_config(max_epochs=2), tiny_split(k=4))
-        assert len(calls) == 3  # the pooled cohort, validation and test
+        run_heuristic(tiny_config(max_epochs=2), tiny_split(k=4), kind, institution=2)
+        assert len(calls) == 3  # the cohort it trains on, validation and test
 
 
 class TestEnsemble:

@@ -344,6 +344,17 @@ class TestChannels:
             channel.close()
         assert not channel._thread.is_alive()
 
+    def test_socket_channel_sets_no_delay(self):
+        """Both ends send without Nagle delay, so the 1-byte ACK after each
+        frame does not wait out the peer's delayed-ACK timer."""
+        channel = SocketChannel()
+        try:
+            channel.handoff(b"abc", origin=0, destination=1, global_epoch=0)
+            for sock in (channel._sock, channel._courier):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        finally:
+            channel.close()
+
     def test_socket_channel_many_handoffs(self):
         channel = SocketChannel()
         try:
