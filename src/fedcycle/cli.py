@@ -79,8 +79,10 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _prepare(args):
+def _prepare(args, *, sweep: bool):
     plan = load_plan(args.config)
+    if plan.heuristic.kind == "sweep" and not sweep:
+        raise ConfigError("use the `sweep` subcommand for sweep configs")
     if args.output_dir:
         plan = replace(plan, output_dir=args.output_dir)
     seeds = plan.seeds
@@ -105,10 +107,7 @@ def _prepare(args):
 
 
 def cmd_run(args) -> int:
-    plan, heuristic, _, base_cfg, split, seeds, outdir = _prepare(args)
-    if heuristic.kind == "sweep":
-        print("error: use the `sweep` subcommand for sweep configs", file=sys.stderr)
-        return 2
+    plan, heuristic, _, base_cfg, split, seeds, outdir = _prepare(args, sweep=False)
     write_manifest(split, outdir / "split_manifest.json")
     summaries = []
     for seed in seeds:
@@ -135,7 +134,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    plan, heuristic, _, base_cfg, split, seeds, outdir = _prepare(args)
+    plan, heuristic, _, base_cfg, split, seeds, outdir = _prepare(args, sweep=True)
     m_values = heuristic.m_values or tuple(range(1, len(split.institutions) + 1))
     write_manifest(split, outdir / "split_manifest.json")
     per_seed = {}

@@ -17,7 +17,7 @@ import numpy as np
 from . import transport
 from .data import Batch, Dataset, augment, normalize
 from .nn import (LayerSpec, ModelState, OptimizerConfig, backward,
-                 forward, fresh_opt_state, init_model, loss, opt_step)
+                 forward, init_model, loss, opt_step)
 from .partition import Split, pool
 from .schedule import (CONTINUE, STOP, ExpDecayPolicy, PlateauPolicy,
                        PlateauState, exp_decay_lr, observe)
@@ -207,7 +207,7 @@ def _handoff(model: ModelState, cfg: ExperimentConfig, channel, *,
                                 global_epoch=global_epoch)
     new_model, _ = transport.deserialize(delivered, model.specs)
     if not cfg.carry_opt_state:
-        new_model.opt_state = fresh_opt_state(cfg.optimizer.kind, new_model.specs)
+        new_model.opt_state = new_model.layout.opt_state(cfg.optimizer.kind)
     return new_model
 
 

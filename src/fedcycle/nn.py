@@ -5,8 +5,11 @@ readout. Everything is float64 and deterministic given a seeded generator.
 """
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +43,11 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        if not (isinstance(self.in_dim, numbers.Integral)
+                and isinstance(self.out_dim, numbers.Integral)):
+            raise ValueError("layer dimensions must be integers")
+        if not isinstance(self.dropout_rate, numbers.Real):
+            raise ValueError("dropout_rate must be a real number")
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("layer dimensions must be >= 1")
         if self.kind == "dropout":
@@ -101,25 +109,62 @@ class Batch:
             raise ValueError("batch must hold at least one sample")
 
 
-def param_shapes(specs):
-    """Yield (layer_index, name, shape) of every parameter in canonical order."""
+class ParamSlice(NamedTuple):
+    """Where one parameter lives: layer `layer`, name `name`, elements
+    `start:stop` of theta, reshaped to `shape`."""
+    layer: int
+    name: str
+    start: int
+    stop: int
+    shape: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """The fixed facts of one architecture, worked out once by `layout_of`:
+    each parameter's slice of theta, in canonical (wire) order."""
+    specs: tuple
+    params: tuple       # ParamSlice per parameter
+    size: int           # parameter count, len(theta)
+    batchnorm: tuple    # indexes of the batch-norm layers
+
+    def views(self, flat: np.ndarray) -> list:
+        """Per layer: dict name -> parameter-shaped view into the vector `flat`."""
+        views = [{} for _ in self.specs]
+        for i, name, start, stop, shape in self.params:
+            views[i][name] = flat[start:stop].reshape(shape)
+        return views
+
+    def opt_state(self, kind: str, flat: dict | None = None, step: int = 0) -> dict:
+        """Optimizer state over the role vectors `flat` (zeros when None): one
+        vector the size of theta per role in "flat", and per layer in
+        "slots" dict name -> {role: view into it}."""
+        if flat is None:
+            flat = {role: np.zeros(self.size) for role in OPT_ROLES[kind]}
+        views = {role: self.views(vec) for role, vec in flat.items()}
+        slots = [{} for _ in self.specs]
+        for i, name, *_ in self.params:
+            slots[i][name] = {role: views[role][i][name] for role in flat}
+        return {"kind": kind, "step": step, "flat": flat, "slots": slots}
+
+
+def layout_of(specs) -> Layout:
+    """The Layout of a layer-spec sequence; validated and built once per
+    distinct sequence, then shared (read-only) by every model of it."""
+    return _layout(tuple(specs))
+
+
+@functools.lru_cache(maxsize=128)
+def _layout(specs: tuple) -> Layout:
+    validate_specs(specs)
+    params, start = [], 0
     for i, spec in enumerate(specs):
         for name in PARAM_ORDER[spec.kind]:
-            yield i, name, (spec.in_dim if name == "W" else 1, spec.out_dim)
-
-
-def param_count(specs) -> int:
-    return sum(r * c for _, _, (r, c) in param_shapes(specs))
-
-
-def flat_views(specs, flat: np.ndarray) -> list:
-    """Per layer: dict name -> parameter-shaped view into the vector `flat`."""
-    views = [{} for _ in specs]
-    offset = 0
-    for i, name, (r, c) in param_shapes(specs):
-        views[i][name] = flat[offset:offset + r * c].reshape(r, c)
-        offset += r * c
-    return views
+            shape = (spec.in_dim if name == "W" else 1, spec.out_dim)
+            params.append(ParamSlice(i, name, start, start + shape[0] * shape[1], shape))
+            start += shape[0] * shape[1]
+    return Layout(specs=specs, params=tuple(params), size=start,
+                  batchnorm=tuple(i for i, s in enumerate(specs) if s.kind == "batchnorm"))
 
 
 @dataclass
@@ -130,11 +175,14 @@ class ModelState:
     specs: list
     theta: np.ndarray
     bn_running: list    # per layer: {"mean", "var"} for batchnorm, else {}
-    opt_state: dict     # see fresh_opt_state
+    opt_state: dict     # see Layout.opt_state
+    layout: Layout | None = field(default=None, repr=False)  # looked up from specs when None
     params: list = field(init=False)  # per layer: dict name -> (r, c) view into theta
 
     def __post_init__(self):
-        self.params = flat_views(self.specs, self.theta)
+        if self.layout is None:
+            self.layout = layout_of(self.specs)
+        self.params = self.layout.views(self.theta)
 
     @property
     def num_classes(self) -> int:
@@ -143,7 +191,7 @@ class ModelState:
 
     def param_items(self):
         """Yield (layer_index, name, array) in canonical order."""
-        for i, name, _ in param_shapes(self.specs):
+        for i, name, *_ in self.layout.params:
             yield i, name, self.params[i][name]
 
 
@@ -154,24 +202,13 @@ def glorot_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def fresh_opt_state(kind: str, specs) -> dict:
-    """Zeroed optimizer state: one vector the size of theta per role in
-    "flat", and per layer in "slots" dict name -> {role: view into it}."""
-    flat = {role: np.zeros(param_count(specs)) for role in OPT_ROLES[kind]}
-    views = {role: flat_views(specs, vec) for role, vec in flat.items()}
-    slots = [{} for _ in specs]
-    for i, name, _ in param_shapes(specs):
-        slots[i][name] = {role: views[role][i][name] for role in flat}
-    return {"kind": kind, "step": 0, "flat": flat, "slots": slots}
-
-
 def init_model(specs, opt_cfg: OptimizerConfig, rng: np.random.Generator) -> ModelState:
     """Build a ModelState with Glorot-uniform weights (biases included)."""
-    specs = validate_specs(specs)
-    model = ModelState(specs=specs, theta=np.empty(param_count(specs)),
-                       bn_running=[{} for _ in specs],
-                       opt_state=fresh_opt_state(opt_cfg.kind, specs))
-    for spec, p, run in zip(specs, model.params, model.bn_running):
+    layout = layout_of(specs)
+    model = ModelState(specs=list(layout.specs), theta=np.empty(layout.size),
+                       bn_running=[{} for _ in layout.specs],
+                       opt_state=layout.opt_state(opt_cfg.kind), layout=layout)
+    for spec, p, run in zip(layout.specs, model.params, model.bn_running):
         if spec.kind in ("affine",) + HEAD_KINDS:
             limit = math.sqrt(6.0 / (spec.in_dim + spec.out_dim))
             p["W"][...] = glorot_init(spec.in_dim, spec.out_dim, rng)
@@ -193,12 +230,10 @@ class ForwardPass:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) <= 1 never overflows, and it is exp(-z) where z >= 0 and
+    # exp(z) elsewhere, so each branch is the textbook stable form.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(z):
@@ -364,11 +399,12 @@ def opt_step(model: ModelState, grads, cfg: OptimizerConfig, lr: float) -> Model
     opt = model.opt_state
     if cfg.kind != opt["kind"]:
         raise ValueError(f"optimizer state is {opt['kind']!r}, config wants {cfg.kind!r}")
+    layout = model.layout
     flat_grads = []
-    for i, name, w in model.param_items():
+    for i, name, _, _, shape in layout.params:
         g = grads[i][name]
-        if g.shape != w.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {w.shape}")
+        if g.shape != shape:
+            raise ValueError(f"gradient shape {g.shape} != param shape {shape}")
         flat_grads.append(g.ravel())
     g = np.concatenate(flat_grads)
     theta = model.theta
@@ -395,8 +431,8 @@ def opt_step(model: ModelState, grads, cfg: OptimizerConfig, lr: float) -> Model
         step /= denom
         theta -= step
     if not np.isfinite(theta).all():
-        i, name = next((i, name) for i, name, w in model.param_items()
-                       if not np.isfinite(w).all())
+        i, name = next((i, name) for i, name, start, stop, _ in layout.params
+                       if not np.isfinite(theta[start:stop]).all())
         raise FloatingPointError(f"non-finite parameter after update (layer {i}, {name})")
     return model
 

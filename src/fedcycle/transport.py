@@ -17,6 +17,7 @@ byte layout is written to disk as ``.fwt`` checkpoint files.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import socket
 import struct
@@ -26,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import OPT_ROLES, ModelState, fresh_opt_state, param_count, validate_specs
+from .nn import OPT_ROLES, Layout, ModelState, layout_of
 
 MAGIC = b"FWT1"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHQIHB")
 _SHAPE = struct.Struct("<II")
+_CRC = struct.Struct("<I")
 _OPT_FLAGS = {None: 0, "sgd-momentum": 1, "adam": 2}
 _OPT_KINDS = {v: k for k, v in _OPT_FLAGS.items()}
 
@@ -71,51 +73,107 @@ class PacketMeta:
 
 
 def arch_hash(specs) -> int:
+    # int() and float() + 0.0 spell every spec the same way as any spec equal
+    # to it (1 and True, 0.5 and np.float64(0.5), 0.0 and -0.0), so the hash
+    # is a function of what the layout cache keys on.
     text = ";".join(
-        f"{s.kind}:{s.in_dim}:{s.out_dim}:{s.dropout_rate!r}" for s in specs)
+        f"{s.kind}:{int(s.in_dim)}:{int(s.out_dim)}:{float(s.dropout_rate) + 0.0!r}"
+        for s in specs)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
-def _model_tensors(model: ModelState, opt_kind: str | None, step: np.ndarray):
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class _WirePlan:
+    """The fixed part of every packet of one (architecture, optimizer kind).
+
+    The payload is a run of 8-byte words: per tensor one (rows, cols) header
+    word, then rows*cols f64 values. `template` has every header word filled
+    in and the values zeroed; `index` holds, per vector a packet carries
+    (theta, each batch-norm layer's running mean and variance, then each
+    optimizer role's vector), the word of each of its elements, shaped like
+    the vector. The step count, with an optimizer kind, is word `step_word`.
+    """
+    arch_hash: int
+    table: tuple          # (rows, cols, data offset) per tensor, as _read_table reads it
+    template: np.ndarray  # f64 words, read-only
+    index: tuple          # int64 word indexes per vector, read-only
+    vector_shapes: tuple  # the shape of each index array
+    step_word: int | None
+
+
+@functools.lru_cache(maxsize=128)
+def _wire_plan(layout: Layout, opt_kind: str | None) -> _WirePlan:
     """Canonical tensor order: params, batch-norm running stats, then with
-    an optimizer kind the (1, 1) `step` and each param's role buffers."""
-    for i, name, w in model.param_items():
-        yield w
-    for spec, run in zip(model.specs, model.bn_running):
-        if spec.kind == "batchnorm":
-            yield run["mean"]
-            yield run["var"]
+    an optimizer kind the (1, 1) step and each param's role buffers."""
+    table, heads, words = [], [], 0
+
+    def tensor(rows, cols):
+        """Append a tensor; return the words of its values."""
+        nonlocal words
+        heads.append(words)
+        table.append((rows, cols, _HEADER.size + 8 * words + _SHAPE.size))
+        words += 1 + rows * cols
+        return np.arange(words - rows * cols, words)
+
+    theta_idx = np.concatenate([tensor(*p.shape) for p in layout.params])
+    bn_idx = [tensor(1, layout.specs[i].out_dim).reshape(1, -1)
+              for i in layout.batchnorm for _ in ("mean", "var")]
+    role_idx, step_word = {}, None
     if opt_kind is not None:
-        yield step
-        for i, name, _ in model.param_items():
-            bufs = model.opt_state["slots"][i][name]
-            for role in OPT_ROLES[opt_kind]:
-                yield bufs[role]
+        (step_word,) = tensor(1, 1)
+        roles = OPT_ROLES[opt_kind]
+        per_param = [[tensor(*p.shape) for _ in roles] for p in layout.params]
+        role_idx = {role: np.concatenate([idx[k] for idx in per_param])
+                    for k, role in enumerate(roles)}
+    template = np.zeros(words, dtype="<u8")
+    template[heads] = [rows | cols << 32 for rows, cols, _ in table]
+    template = template.view("<f8")
+    # serialize and deserialize check finiteness over whole payloads, header
+    # words included; only a width of 0x7FF00000 or more reads as inf or NaN.
+    if not np.isfinite(template).all():
+        raise ValueError("layer too wide for the wire format")
+    index = tuple(_read_only(a) for a in (theta_idx, *bn_idx, *role_idx.values()))
+    return _WirePlan(arch_hash=arch_hash(layout.specs), table=tuple(table),
+                     template=_read_only(template), index=index,
+                     vector_shapes=tuple(a.shape for a in index),
+                     step_word=None if step_word is None else int(step_word))
 
 
-def _vectors(model: ModelState, opt_kind: str | None, step: np.ndarray) -> list:
-    """Every array a packet carries, flat vectors whole: the finiteness
-    checks run once per entry."""
-    out = [model.theta] + [a for run in model.bn_running for a in run.values()]
+def _vectors(model: ModelState, opt_kind: str | None) -> list:
+    """Every array a packet carries apart from the step count, in the order
+    of _WirePlan.index."""
+    out = [model.theta]
+    for i in model.layout.batchnorm:
+        out += [model.bn_running[i]["mean"], model.bn_running[i]["var"]]
     if opt_kind is not None:
-        out += [step, *model.opt_state["flat"].values()]
+        out += [model.opt_state["flat"][role] for role in OPT_ROLES[opt_kind]]
     return out
 
 
 def serialize(model: ModelState, *, global_epoch: int = 0, origin: int = 0,
               carry_opt_state: bool = True) -> bytes:
     opt_kind = model.opt_state["kind"] if carry_opt_state else None
-    step = np.array([[float(model.opt_state["step"])]])
-    if not all(np.isfinite(a).all() for a in _vectors(model, opt_kind, step)):
+    plan = _wire_plan(model.layout, opt_kind)
+    vectors = _vectors(model, opt_kind)
+    if tuple([v.shape for v in vectors]) != plan.vector_shapes:
+        raise ValueError("model arrays do not match the model's layer specs")
+    words = plan.template.copy()
+    for index, vec in zip(plan.index, vectors):
+        words[index] = vec
+    if opt_kind is not None:
+        words[plan.step_word] = float(model.opt_state["step"])
+    if not np.isfinite(words).all():
         raise ValueError("refusing to serialize non-finite parameters")
-    chunks = [_HEADER.pack(MAGIC, FORMAT_VERSION, arch_hash(model.specs),
-                           global_epoch, origin, _OPT_FLAGS[opt_kind])]
-    for tensor in _model_tensors(model, opt_kind, step):
-        chunks.append(_SHAPE.pack(*tensor.shape))
-        chunks.append(tensor.astype("<f8", copy=False).tobytes())
-    body = b"".join(chunks)
-    return body + struct.pack("<I", zlib.crc32(body))
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, plan.arch_hash,
+                          global_epoch, origin, _OPT_FLAGS[opt_kind])
+    crc = zlib.crc32(words, zlib.crc32(header))
+    return b"".join((header, words, _CRC.pack(crc)))
 
 
 def _read_table(data: bytes):
@@ -155,37 +213,48 @@ def read_meta(data: bytes) -> PacketMeta:
     return _read_table(data)[0]
 
 
+def _table_error(table: list, plan: _WirePlan) -> TransportError:
+    """The error for a tensor table that differs from the plan's."""
+    for (rows, cols, _), (want_rows, want_cols, _) in zip(table, plan.table):
+        if (rows, cols) != (want_rows, want_cols):
+            return FormatError(
+                f"tensor shape {(rows, cols)} != expected {(want_rows, want_cols)}")
+    if len(table) < len(plan.table):
+        return TruncationError(f"packet holds {len(table)} of {len(plan.table)} tensors")
+    return FormatError("trailing bytes after expected payload")
+
+
 def deserialize(data: bytes, specs) -> tuple[ModelState, PacketMeta]:
     """Rebuild a ModelState; the receiver's specs gate architecture."""
-    specs = validate_specs(specs)
+    layout = layout_of(specs)
     meta, table = _read_table(data)
-    if meta.arch_hash != arch_hash(specs):
+    plan = _wire_plan(layout, meta.opt_kind)
+    if meta.arch_hash != plan.arch_hash:
         raise ArchitectureMismatchError(
             "packet architecture hash does not match receiver layer specs")
-
-    kind = meta.opt_kind
-    bn_running = [{"mean": np.empty((1, s.out_dim)), "var": np.empty((1, s.out_dim))}
-                  if s.kind == "batchnorm" else {} for s in specs]
-    opt_state = fresh_opt_state(kind, specs) if kind is not None else \
-        {"kind": None, "step": 0, "flat": {}, "slots": []}
-    model = ModelState(specs=specs, theta=np.empty(param_count(specs)),
-                       bn_running=bn_running, opt_state=opt_state)
-    step = np.zeros((1, 1))
-    dests = list(_model_tensors(model, kind, step))
-    for (rows, cols, offset), dest in zip(table, dests):
-        if (rows, cols) != dest.shape:
-            raise FormatError(f"tensor shape {(rows, cols)} != expected {dest.shape}")
-        dest[...] = np.frombuffer(data, dtype="<f8", count=rows * cols,
-                                  offset=offset).reshape(rows, cols)
-    if len(table) < len(dests):
-        raise TruncationError(f"packet holds {len(table)} of {len(dests)} tensors")
-    if len(table) > len(dests):
-        raise FormatError("trailing bytes after expected payload")
-    if any(np.any(run["var"] <= 0) for run in bn_running if run):
+    if tuple(table) != plan.table:
+        raise _table_error(table, plan)
+    # An aligned copy of the payload (it starts at byte 21 of the packet);
+    # each gather from it is a fresh array the model owns.
+    words = np.frombuffer(data, dtype="<f8", count=len(plan.template),
+                          offset=_HEADER.size).copy()
+    theta, *rest = [words[index] for index in plan.index]
+    n_bn = 2 * len(layout.batchnorm)
+    bn_running = [{} for _ in layout.specs]
+    for i, mean, var in zip(layout.batchnorm, rest[0:n_bn:2], rest[1:n_bn:2]):
+        bn_running[i].update(mean=mean, var=var)
+    if any(np.any(bn_running[i]["var"] <= 0) for i in layout.batchnorm):
         raise FormatError("non-positive running variance")
-    if not all(np.isfinite(a).all() for a in _vectors(model, kind, step)):
+    if not np.isfinite(words).all():
         raise CorruptionError("non-finite value in payload")
-    opt_state["step"] = int(step[0, 0])
+    kind = meta.opt_kind
+    if kind is None:
+        opt_state = {"kind": None, "step": 0, "flat": {}, "slots": []}
+    else:
+        opt_state = layout.opt_state(kind, dict(zip(OPT_ROLES[kind], rest[n_bn:])),
+                                     int(words[plan.step_word]))
+    model = ModelState(specs=list(layout.specs), theta=theta, bn_running=bn_running,
+                       opt_state=opt_state, layout=layout)
     return model, meta
 
 

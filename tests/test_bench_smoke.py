@@ -1,0 +1,15 @@
+"""The benchmark's own smoke test, run as part of the test suite, so that a
+renamed span point or a changed call the harness makes into the package
+fails here rather than in a benchmark run."""
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_smoke_passes():
+    proc = subprocess.run([sys.executable, "bench/smoke.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.strip().splitlines()[-1] == "smoke: ok"

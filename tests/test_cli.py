@@ -157,6 +157,18 @@ class TestRun:
         assert main(["run", str(config_path), "--freq", "0"]) == 2
         assert "--freq" in capsys.readouterr().err
 
+    def test_sweep_config_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        """`run` on a sweep config exits 2 before it builds a dataset or
+        creates the output directory."""
+        path = patch_config(tmp_path, **{
+            "kind: central": "kind: sweep\n  m_values: [1, 2]"})
+        monkeypatch.setattr(cli, "build_experiment",
+                            lambda plan: pytest.fail("built the dataset of a sweep config"))
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: use the `sweep` subcommand for sweep configs\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unfillable_split_exits_2(self, tmp_path, capsys):
         path = patch_config(tmp_path, **{"n_patients: 160": "n_patients: 60"})
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2

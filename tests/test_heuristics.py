@@ -138,6 +138,23 @@ class TestSingleAndCentral:
         run_heuristic(tiny_config(max_epochs=2), tiny_split(k=4), kind, institution=2)
         assert len(calls) == 3  # the cohort it trains on, validation and test
 
+    @pytest.mark.parametrize("kind", ["single", "central", "ensemble",
+                                      "single_transfer", "cyclical"])
+    def test_each_site_normalizes_locally(self, monkeypatch, kind):
+        """Every cohort a heuristic uses, validation and test included, is
+        normalized by its own statistics, never by another cohort's."""
+        split = tiny_split(k=3)
+        cohorts = []
+
+        def recording(cohort, stats=None):
+            assert stats is None
+            cohorts.append(cohort)
+            return normalize(cohort, stats)
+        monkeypatch.setattr(heuristics, "normalize", recording)
+        run_heuristic(tiny_config(max_epochs=2), split, kind)
+        assert any(c is split.validation for c in cohorts)
+        assert any(c is split.test for c in cohorts)
+
 
 class TestEnsemble:
     def test_members_differ_by_seed(self):

@@ -1,3 +1,4 @@
+import hashlib
 import socket
 import struct
 import threading
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from fedcycle import transport
-from fedcycle.nn import LayerSpec, ModelState, OptimizerConfig, init_model
+from fedcycle.heuristics import mlp_specs
+from fedcycle.nn import (LayerSpec, ModelState, OptimizerConfig, init_model,
+                         layout_of, opt_step)
 from fedcycle.transport import (ArchitectureMismatchError, CorruptionError,
                                 FormatError, MemoryChannel, SocketChannel,
                                 TransferFailedError, TruncationError,
@@ -212,6 +215,130 @@ class TestDeserializeErrors:
         a = [LayerSpec("dropout", 4, 4, 0.5), LayerSpec("sigmoid-head", 4, 1)]
         b = [LayerSpec("dropout", 4, 4, 0.25), LayerSpec("sigmoid-head", 4, 1)]
         assert arch_hash(a) != arch_hash(b)
+
+
+GOLDEN_MODELS = {
+    "demo-sgd": (mlp_specs(4, [16], 2), "sgd-momentum"),
+    "ordering-adam": (mlp_specs(32, [32, 32], 2), "adam"),
+    "batchnorm-dropout-adam": (SPECS, "adam"),
+}
+# sha256 of serialize(golden_model(name), global_epoch=12, origin=1,
+# carry_opt_state=carry): FWT1 bytes that no rewrite of the codec may change.
+GOLDEN_SHA256 = {
+    ("demo-sgd", True): "d6bf92330f4e84d25f78906f9767533970786c996f74281a806a82621a336d70",
+    ("demo-sgd", False): "a9a75748208fb32936682676fca2480cffc3b582696da8114afb9968251939e1",
+    ("ordering-adam", True): "1c9ba66e6911a3fb209dd357802663b3edb9a95b29cbc0ffd9a2b94552f8b0ce",
+    ("ordering-adam", False): "2475a5f2efd68e2825b3f28c12d193ed0fa14091f286fc2d1d6964c8eaf4c110",
+    ("batchnorm-dropout-adam", True):
+        "2b20346d8d16a8aa480789e1addcd14c71fd29e68ff832c6f84ce944529a9449",
+    ("batchnorm-dropout-adam", False):
+        "2fb04c8fdc89ae0c5bdfe59a7018958cbf1a7e1b8a5e154bd79a3a7f1c88006c",
+}
+
+
+def golden_model(name):
+    """A seeded model whose optimizer vectors, running statistics and step
+    count are all set away from their initial values."""
+    specs, kind = GOLDEN_MODELS[name]
+    m = init_model(specs, OptimizerConfig(kind, 1e-3), np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    for vec in m.opt_state["flat"].values():
+        vec[...] = rng.uniform(-1.0, 1.0, vec.size)
+    for run in m.bn_running:
+        for key, (lo, hi) in zip(("mean", "var"), ((-1.0, 1.0), (0.5, 2.0))):
+            if key in run:
+                run[key][...] = rng.uniform(lo, hi, run[key].shape)
+    m.opt_state["step"] = 7
+    return m
+
+
+@pytest.mark.parametrize("name,carry", list(GOLDEN_SHA256))
+def test_golden_bytes(name, carry):
+    data = serialize(golden_model(name), global_epoch=12, origin=1, carry_opt_state=carry)
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[name, carry]
+    back, meta = deserialize(data, GOLDEN_MODELS[name][0])
+    assert serialize(back, global_epoch=meta.global_epoch, origin=meta.origin,
+                     carry_opt_state=carry) == data
+
+
+def with_opt_flag(data, flag):
+    """`data` with its optimizer flag replaced and the CRC recomputed."""
+    body = bytearray(data[:-4])
+    body[struct.calcsize("<4sHQIH")] = flag
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+class TestCachedPlans:
+    """Each architecture's layout and wire plan are built once and shared."""
+    DROPOUT_025 = SPECS[:3] + [LayerSpec("dropout", 4, 4, 0.25), SPECS[4]]
+
+    def test_layout_shared_by_equal_specs(self):
+        assert layout_of(SPECS) is layout_of(list(SPECS))
+        assert layout_of(SPECS) is layout_of([LayerSpec(s.kind, s.in_dim, s.out_dim,
+                                                        s.dropout_rate) for s in SPECS])
+
+    def test_dropout_rates_get_distinct_plans(self):
+        assert layout_of(SPECS) is not layout_of(self.DROPOUT_025)
+        plans = [transport._wire_plan(layout_of(specs), "adam")
+                 for specs in (SPECS, self.DROPOUT_025)]
+        assert plans[0] is not plans[1]
+        assert plans[0].arch_hash != plans[1].arch_hash
+        for sender, receiver in ((SPECS, self.DROPOUT_025), (self.DROPOUT_025, SPECS)):
+            data = serialize(make_model(specs=sender))
+            with pytest.raises(ArchitectureMismatchError):
+                deserialize(data, receiver)
+
+    def test_equal_specs_hash_alike(self):
+        same = [LayerSpec(s.kind, s.in_dim, s.out_dim, np.float64(s.dropout_rate))
+                for s in SPECS]
+        assert arch_hash(same) == arch_hash(SPECS)
+
+    @pytest.mark.parametrize("sender,flag,error,match", [
+        ("adam", 1, FormatError, "tensor shape"),
+        ("adam", 0, FormatError, "trailing"),
+        ("sgd-momentum", 2, FormatError, "tensor shape"),
+        ("sgd-momentum", 0, FormatError, "trailing"),
+        ("adam", 3, FormatError, "unknown optimizer flag 3"),
+    ])
+    def test_rewritten_optimizer_flag_rejected(self, sender, flag, error, match):
+        data = with_opt_flag(serialize(make_model(opt=sender)), flag)
+        with pytest.raises(error, match=match):
+            deserialize(data, SPECS)
+
+    def test_other_optimizer_state_fails_at_the_step(self):
+        back, meta = deserialize(serialize(make_model(opt="sgd-momentum")), SPECS)
+        assert meta.opt_kind == "sgd-momentum"
+        grads = [{name: np.zeros_like(w) for name, w in p.items()} for p in back.params]
+        with pytest.raises(ValueError, match="optimizer state is 'sgd-momentum'"):
+            opt_step(back, grads, OptimizerConfig("adam", 1e-3), 1e-3)
+
+    def test_deserialized_arrays_are_owned(self):
+        data = serialize(golden_model("batchnorm-dropout-adam"))
+        plan = transport._wire_plan(layout_of(SPECS), "adam")
+
+        def arrays(model):
+            return [model.theta, *model.opt_state["flat"].values(),
+                    *(a for run in model.bn_running for a in run.values())]
+        a, _ = deserialize(data, SPECS)
+        b, _ = deserialize(data, SPECS)
+        assert len(arrays(a)) == 5
+        others = [np.frombuffer(data, np.uint8), plan.template, *plan.index, *arrays(b)]
+        for x in arrays(a):
+            assert x.flags.writeable
+            assert not any(np.shares_memory(x, other) for other in others)
+        for x in arrays(a):
+            x[...] = 0.5
+        again, _ = deserialize(data, SPECS)
+        assert models_equal(again, b)
+        assert serialize(again) == data
+
+    def test_cached_arrays_are_read_only(self):
+        serialize(make_model())
+        plan = transport._wire_plan(layout_of(SPECS), "adam")
+        for arr in (plan.template, *plan.index):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
 
 
 class TestPacketFiles:
