@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from fedcycle.nn import (Batch, LayerSpec, OptimizerConfig, backward, forward,
-                         glorot_init, grad_check, gradcheck_suite,
+from fedcycle.nn import (OPT_ROLES, Batch, LayerSpec, OptimizerConfig,
+                         backward, forward, glorot_init, grad_check, gradcheck_suite,
                          has_flat_relu, init_model, loss, opt_step,
                          validate_specs)
 
@@ -348,3 +349,89 @@ class TestGradCheck:
 
     def test_suite_covers_all_layer_kinds(self):
         assert gradcheck_suite(n_seeds=3) < 1e-4
+
+
+def _training_cfg(name):
+    from fedcycle.heuristics import ExperimentConfig
+    from fedcycle.schedule import PlateauPolicy
+    from test_transport import GOLDEN_MODELS
+
+    specs, kind = GOLDEN_MODELS[name]
+    opt = OptimizerConfig(kind, 0.05 if kind == "sgd-momentum" else 0.01,
+                          l2_coeff=0.001 if name == "ordering-adam" else 0.0)
+    # batch 8 over 37 samples leaves a partial last batch of 5
+    return ExperimentConfig(model_specs=specs, optimizer=opt,
+                            plateau=PlateauPolicy(5, 0.5, 1), batch_size=8,
+                            augment_sigma=0.05 if name == "batchnorm-dropout-adam" else 0.0)
+
+
+def _cohort(cfg, seed, n=37):
+    from fedcycle.data import Dataset
+
+    rng = np.random.default_rng([seed, 8])
+    features = rng.normal(size=(n, cfg.model_specs[0].in_dim))
+    return Dataset(np.array([f"p{i}" for i in range(n)]), features,
+                   (features[:, 0] > 0).astype(np.int64), 2)
+
+
+def _state_digest(m):
+    """sha256 of theta, the batch-norm running statistics and the optimizer
+    role vectors, in that order."""
+    h = hashlib.sha256(m.theta.tobytes())
+    for i in m.layout.batchnorm:
+        h.update(m.bn_running[i]["mean"].tobytes())
+        h.update(m.bn_running[i]["var"].tobytes())
+    for role in OPT_ROLES[m.opt_state["kind"]]:
+        h.update(m.opt_state["flat"][role].tobytes())
+    return h.hexdigest()
+
+
+def _trainer(name, seed, n=37):
+    """A fresh model of architecture `name` with its own cohort and
+    generator; each call of the returned function trains one epoch."""
+    from fedcycle.heuristics import train_on
+
+    cfg = _training_cfg(name)
+    m = init_model(cfg.model_specs, cfg.optimizer, np.random.default_rng([seed, 0]))
+    cohort, rng = _cohort(cfg, seed, n), np.random.default_rng([seed, 1])
+    lrs = iter([cfg.optimizer.learning_rate] * 2 + [cfg.optimizer.learning_rate / 4])
+
+    def epoch():
+        assert train_on(m, cohort, 1, cfg, next(lrs), rng) == -(-n // cfg.batch_size)
+    return m, epoch
+
+
+# sha256 of _state_digest after three train_on epochs (two at the base
+# learning rate, one at a quarter of it); pins the training step bit for bit.
+TRAINING_SHA256 = {
+    "demo-sgd":
+        "8e038784c1e4a1f95327146596429bbcf847cf5ac99c44b0e99481669f4a739e",
+    "ordering-adam":
+        "cb5d17421e6aafacaaeb2aad0abc73012fe1d091cdefe4080a17e8c5fbafb524",
+    "batchnorm-dropout-adam":
+        "5e7018556aab1128347fb4b1ca0552b57c1f29e5abc8c4e07364547465fe44de",
+}
+
+
+@pytest.mark.parametrize("name", list(TRAINING_SHA256))
+def test_training_digest(name):
+    m, epoch = _trainer(name, seed=3)
+    for _ in range(3):
+        epoch()
+    assert m.opt_state["step"] == (0 if m.opt_state["kind"] == "sgd-momentum" else 15)
+    assert _state_digest(m) == TRAINING_SHA256[name]
+
+
+def test_alternating_training_matches_sequential():
+    """Two models of one layout, trained in turns, end as if each had been
+    trained alone: nothing carries over between them through shared
+    per-step buffers. Their cohorts differ in length, so their partial last
+    batches differ in size."""
+    def models(order):
+        (a, step_a), (b, step_b) = (_trainer("batchnorm-dropout-adam", seed=4, n=37),
+                                    _trainer("batchnorm-dropout-adam", seed=5, n=30))
+        for who in order:
+            (step_a if who == "a" else step_b)()
+        return _state_digest(a), _state_digest(b)
+
+    assert models("aaabbb") == models("ababab")
