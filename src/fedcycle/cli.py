@@ -83,6 +83,9 @@ def _prepare(args, *, sweep: bool):
     plan = load_plan(args.config)
     if plan.heuristic.kind == "sweep" and not sweep:
         raise ConfigError("use the `sweep` subcommand for sweep configs")
+    if plan.heuristic.kind != "sweep" and sweep:
+        raise ConfigError(f"heuristic.kind: the `sweep` subcommand needs kind: sweep, got "
+                          f"{plan.heuristic.kind!r}; use the `run` subcommand")
     if args.output_dir:
         plan = replace(plan, output_dir=args.output_dir)
     seeds = plan.seeds
@@ -135,7 +138,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     plan, heuristic, _, base_cfg, split, seeds, outdir = _prepare(args, sweep=True)
-    m_values = heuristic.m_values or tuple(range(1, len(split.institutions) + 1))
+    m_values = heuristic.m_values  # required for kind: sweep
     write_manifest(split, outdir / "split_manifest.json")
     per_seed = {}
     for seed in seeds:

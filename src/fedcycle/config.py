@@ -94,7 +94,19 @@ def _read(target, section: dict, where: str, **fixed):
     try:
         return target(**args)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+        # an error that starts with a parameter's name is about that key
+        msg = str(exc)
+        for key, p in keys.items():
+            if msg.startswith(p.name + " "):
+                raise ConfigError(f"{at}{key}: {msg[len(p.name) + 1:]}") from exc
+        raise ConfigError(f"{where}: {msg}" if where else msg) from exc
+
+
+def _seed(value, where: str) -> int:
+    seed = _check(value, int, where)
+    if seed < 0:
+        raise ConfigError(f"{where}: must be >= 0, got {seed}")
+    return seed
 
 
 def _model(hidden: list[int] = (32, 32), batchnorm: bool = False,
@@ -124,6 +136,12 @@ def _plan(dataset: dict, split: dict, model: dict, optimizer: dict, schedule: di
         raise ConfigError(f"heuristic.institution: must be in 0..{k - 1} (split.k - 1)")
     if not seeds:
         raise ConfigError("seeds: must be a non-empty list of integers")
+    for i, seed in enumerate(seeds):
+        _seed(seed, f"seeds[{i}]")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds: each seed may appear only once, got {list(seeds)}")
+    if dataset.get("kind") != "csv":
+        _seed(dataset.get("seed", 0), "dataset.seed")
     plateau, exp_decay = _read(_schedule, schedule, "schedule")
     # model_specs depend on the dataset and are filled in build_experiment.
     base = _read(ExperimentConfig, training, "training", model_specs=[],
@@ -138,7 +156,7 @@ def _plan(dataset: dict, split: dict, model: dict, optimizer: dict, schedule: di
 def build_dataset(section: dict) -> Dataset:
     if section.get("kind") == "csv":
         return _read(load_csv, {k: v for k, v in section.items() if k != "kind"}, "dataset")
-    seed = _check(section.get("seed", 0), int, "dataset.seed")
+    seed = _seed(section.get("seed", 0), "dataset.seed")
     return _read(gen_synthetic, {k: v for k, v in section.items() if k != "seed"},
                  "dataset", rng=np.random.default_rng([seed, 2]))
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import transport
 from .data import Batch, Dataset, augment, normalize
 from .nn import (LayerSpec, ModelState, OptimizerConfig, backward,
-                 forward, init_model, loss, opt_step)
+                 forward, init_model, loss, opt_step, workspace)
 from .partition import Split, pool
 from .schedule import (CONTINUE, STOP, ExpDecayPolicy, PlateauPolicy,
                        PlateauState, exp_decay_lr, observe)
@@ -44,6 +44,8 @@ class ExperimentConfig:
             raise ValueError("top_k must be >= 1")
         if self.augment_sigma < 0:
             raise ValueError("augment_sigma must be >= 0")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,8 @@ def train_on(model: ModelState, cohort: Dataset, epochs: int,
              cfg: ExperimentConfig, lr: float, rng: np.random.Generator) -> int:
     """Train `epochs` full passes in shuffled mini-batches; returns the
     number of optimizer steps taken. Augmentation noise is redrawn every
-    epoch. The cohort is expected to be normalized already."""
+    epoch. The cohort is expected to be normalized already. Each step runs
+    in the shared workspace of the model's layout at its batch size."""
     n = len(cohort)
     steps = 0
     for _ in range(epochs):
@@ -136,9 +139,10 @@ def train_on(model: ModelState, cohort: Dataset, epochs: int,
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            fp = forward(model, batch.features[idx], rng=rng)
-            grads = backward(model, fp, batch.labels[idx], cfg.optimizer.l2_coeff)
-            opt_step(model, grads, cfg.optimizer, lr)
+            fp = forward(model, batch.features[idx], rng=rng,
+                         ws=workspace(model.layout, len(idx)))
+            g = backward(model, fp, batch.labels[idx], cfg.optimizer.l2_coeff)
+            opt_step(model, g, cfg.optimizer, lr)
             steps += 1
     return steps
 

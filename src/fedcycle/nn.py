@@ -137,15 +137,10 @@ class Layout:
 
     def opt_state(self, kind: str, flat: dict | None = None, step: int = 0) -> dict:
         """Optimizer state over the role vectors `flat` (zeros when None): one
-        vector the size of theta per role in "flat", and per layer in
-        "slots" dict name -> {role: view into it}."""
+        vector the size of theta per role in "flat"."""
         if flat is None:
             flat = {role: np.zeros(self.size) for role in OPT_ROLES[kind]}
-        views = {role: self.views(vec) for role, vec in flat.items()}
-        slots = [{} for _ in self.specs]
-        for i, name, *_ in self.params:
-            slots[i][name] = {role: views[role][i][name] for role in flat}
-        return {"kind": kind, "step": step, "flat": flat, "slots": slots}
+        return {"kind": kind, "step": step, "flat": flat}
 
 
 def layout_of(specs) -> Layout:
@@ -222,50 +217,102 @@ def init_model(specs, opt_cfg: OptimizerConfig, rng: np.random.Generator) -> Mod
     return model
 
 
+class Workspace:
+    """The arrays one forward and backward pass of an architecture at a
+    fixed batch size write into, so that a training step allocates almost
+    nothing. Each pass overwrites the previous pass's arrays.
+
+    Per layer, `out[i]` is its output and `aux[i]` its other forward
+    buffers. The flat gradient and the backward buffers are made on the
+    first backward pass, so a workspace that only evaluates never holds
+    them.
+    """
+
+    def __init__(self, layout: Layout, rows: int):
+        self.layout = layout
+        self.rows = rows
+        self.out, self.aux = [], []
+        for spec in layout.specs:
+            shape = (rows, spec.out_dim)
+            self.out.append(np.empty(shape))
+            if spec.kind == "relu":
+                aux = (np.empty(shape, dtype=bool),)                     # x > 0, for backward
+            elif spec.kind == "batchnorm":
+                aux = (np.empty(shape),)                                 # xhat
+            elif spec.kind == "dropout":
+                aux = (np.empty(shape), np.empty(shape, dtype=bool))     # mask, kept
+            elif spec.kind == "sigmoid-head":
+                aux = (np.empty(shape), np.empty(shape, dtype=bool))     # 1 + e, z >= 0
+            elif spec.kind == "softmax-head":
+                aux = (np.empty((rows, 1)),)                             # row max, row sum
+            else:
+                aux = ()
+            self.aux.append(aux)
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        """The flat gradient, laid out like theta."""
+        return np.empty(self.layout.size)
+
+    @functools.cached_property
+    def back(self) -> tuple:
+        """Backward buffers: per-layer views of `grad`, a theta-sized vector
+        for the L2 term and its per-layer views, the head's output gradient,
+        and per layer the buffer of its input gradient (affine and heads
+        above layer 0; None elsewhere)."""
+        l2 = np.empty(self.layout.size)
+        dz = np.empty((self.rows, self.layout.specs[-1].out_dim))
+        din = [np.empty((self.rows, s.in_dim)) if i and "W" in PARAM_ORDER[s.kind] else None
+               for i, s in enumerate(self.layout.specs)]
+        return self.layout.views(self.grad), l2, self.layout.views(l2), dz, din
+
+
+@functools.lru_cache(maxsize=32)
+def workspace(layout: Layout, rows: int) -> Workspace:
+    """The Workspace of `layout` at `rows` batch rows that training loops
+    share: every step through it overwrites the last one's arrays."""
+    return Workspace(layout, rows)
+
+
 @dataclass
 class ForwardPass:
     probs: np.ndarray
     caches: list
     train: bool
-
-
-def _sigmoid(z):
-    # exp(-|z|) <= 1 never overflows, and it is exp(-z) where z >= 0 and
-    # exp(z) elsewhere, so each branch is the textbook stable form.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _softmax(z):
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    ws: Workspace
 
 
 def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | None = None,
             *, train: bool = True, apply_dropout: bool = True,
-            update_running: bool = True) -> ForwardPass:
+            update_running: bool = True, ws: Workspace | None = None) -> ForwardPass:
     """Run the network in train mode, or in eval mode with `train=False`.
 
     In eval mode dropout is the identity and batch norm uses running
     statistics, so the call is pure. In train mode batch norm uses batch
     statistics (and updates the running averages unless told not to) and
-    dropout draws a fresh inverted-scaling mask from `rng`.
+    dropout draws a fresh inverted-scaling mask from `rng`. The pass writes
+    into `ws`, a Workspace of the model's layout with one row per sample,
+    or into a fresh one when None; `probs` and the caches are its arrays.
     """
     if features.ndim != 2 or features.shape[1] != model.specs[0].in_dim:
         raise ValueError(
             f"expected input width {model.specs[0].in_dim}, got {features.shape}"
         )
+    if ws is None:
+        ws = Workspace(model.layout, len(features))
+    elif ws.layout is not model.layout or ws.rows != len(features):
+        raise ValueError("workspace does not fit the model's layout and the batch")
     a = np.asarray(features, dtype=np.float64)
     caches = []
     for i, spec in enumerate(model.specs):
-        p = model.params[i]
+        p, out, aux = model.params[i], ws.out[i], ws.aux[i]
         if spec.kind == "affine":
             caches.append((a,))
-            a = a @ p["W"] + p["b"]
+            np.dot(a, p["W"], out=out)
+            out += p["b"]
         elif spec.kind == "relu":
             caches.append((a,))
-            a = np.maximum(a, 0.0)
+            np.maximum(a, 0.0, out=out)
         elif spec.kind == "batchnorm":
             if train:
                 mu = a.mean(axis=0, keepdims=True)
@@ -278,30 +325,51 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
                 mu = model.bn_running[i]["mean"]
                 var = model.bn_running[i]["var"]
             ivar = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (a - mu) * ivar
+            (xhat,) = aux
+            np.subtract(a, mu, out=xhat)
+            xhat *= ivar
             caches.append((a, xhat, ivar, mu))
-            a = p["gamma"] * xhat + p["beta"]
+            np.multiply(p["gamma"], xhat, out=out)
+            out += p["beta"]
         elif spec.kind == "dropout":
             if train and apply_dropout and spec.dropout_rate > 0.0:
                 if rng is None:
                     raise ValueError("train-mode dropout needs a generator")
                 keep = 1.0 - spec.dropout_rate
-                mask = (rng.random(a.shape) < keep) / keep
+                mask, kept = aux
+                rng.random(out=mask)
+                np.less(mask, keep, out=kept)
+                np.divide(kept, keep, out=mask)
                 caches.append((mask,))
-                a = a * mask
+                np.multiply(a, mask, out=out)
             else:
                 caches.append((None,))
+                out = a
         elif spec.kind == "sigmoid-head":
-            z = a @ p["W"] + p["b"]
-            probs = np.clip(_sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
-            caches.append((a, probs))
-            a = probs
+            # 1 / (1 + e) where z >= 0, else e / (1 + e), with e = exp(-|z|):
+            # e <= 1 never overflows, and each branch is the stable form.
+            z, (d, nonneg) = out, aux
+            np.dot(a, p["W"], out=z)
+            z += p["b"]
+            np.greater_equal(z, 0.0, out=nonneg)
+            e = np.exp(np.copysign(z, -1.0, out=z), out=z)
+            np.add(1.0, e, out=d)
+            np.copyto(e, 1.0, where=nonneg)
+            e /= d
+            np.minimum(np.maximum(e, PROB_CLAMP, out=e), 1.0 - PROB_CLAMP, out=e)
+            caches.append((a, e))
         elif spec.kind == "softmax-head":
-            z = a @ p["W"] + p["b"]
-            probs = _softmax(z)
-            caches.append((a, probs))
-            a = probs
-    return ForwardPass(probs=a, caches=caches, train=train)
+            z, (col,) = out, aux
+            np.dot(a, p["W"], out=z)
+            z += p["b"]
+            np.maximum.reduce(z, axis=1, keepdims=True, out=col)
+            z -= col
+            e = np.exp(z, out=z)
+            np.add.reduce(e, axis=1, keepdims=True, out=col)
+            e /= col
+            caches.append((a, e))
+        a = out
+    return ForwardPass(probs=a, caches=caches, train=train, ws=ws)
 
 
 def l2_penalty(model: ModelState, l2_coeff: float) -> float:
@@ -333,62 +401,72 @@ def loss(probs: np.ndarray, labels: np.ndarray, model: ModelState, l2_coeff: flo
     return float(ce + l2_penalty(model, l2_coeff))
 
 
-def backward(model: ModelState, fp: ForwardPass, labels: np.ndarray, l2_coeff: float = 0.0):
-    """Analytic gradients of loss() w.r.t. every parameter.
+def backward(model: ModelState, fp: ForwardPass, labels: np.ndarray,
+             l2_coeff: float = 0.0) -> np.ndarray:
+    """Analytic gradients of loss() w.r.t. every parameter, as one flat
+    vector laid out like theta (`Layout.views` splits it per layer).
 
-    Requires a train-mode ForwardPass (batch-statistics batch norm, stored
-    dropout masks).
+    The vector is the forward pass's workspace's, so the next backward
+    through that workspace overwrites it. Requires a train-mode ForwardPass
+    (batch-statistics batch norm, stored dropout masks).
     """
     if not fp.train:
         raise RuntimeError("backward needs activations from a train-mode forward pass")
     labels = np.asarray(labels)
     n = len(labels)
-    grads = [dict() for _ in model.specs]
-    head = model.specs[-1]
-    a_in, probs = fp.caches[-1]
-    if head.kind == "sigmoid-head":
-        y = labels.astype(np.float64).reshape(-1, 1)
-        dz = (probs - y) / n
+    grads, l2, l2_views, dz, din = fp.ws.back
+    np.multiply(l2_coeff, model.theta, out=l2)
+    probs = fp.probs
+    if model.specs[-1].kind == "sigmoid-head":
+        np.subtract(probs, labels[:, None], out=dz)
     else:
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(n), labels] = 1.0
-        dz = (probs - onehot) / n
-    p = model.params[-1]
-    grads[-1]["W"] = a_in.T @ dz + l2_coeff * p["W"]
-    grads[-1]["b"] = dz.sum(axis=0, keepdims=True)
-    da = dz @ p["W"].T
-
-    for i in range(len(model.specs) - 2, -1, -1):
-        spec = model.specs[i]
-        p = model.params[i]
-        cache = fp.caches[i]
-        if spec.kind == "affine":
-            (x,) = cache
-            grads[i]["W"] = x.T @ da + l2_coeff * p["W"]
-            grads[i]["b"] = da.sum(axis=0, keepdims=True)
-            da = da @ p["W"].T
-        elif spec.kind == "relu":
-            (x,) = cache
-            da = da * (x > 0.0)
-        elif spec.kind == "dropout":
-            (mask,) = cache
-            if mask is not None:
-                da = da * mask
+        np.copyto(dz, probs)
+        dz[np.arange(n), labels] -= 1.0
+    dz /= n
+    da = dz
+    for i in range(len(model.specs) - 1, -1, -1):
+        spec, p, g, cache = model.specs[i], model.params[i], grads[i], fp.caches[i]
+        if "W" in p:
+            x = cache[0]
+            np.dot(x.T, da, out=g["W"])
+            g["W"] += l2_views[i]["W"]
+            np.add.reduce(da, axis=0, keepdims=True, out=g["b"])
+            if i:
+                da = np.dot(da, p["W"].T, out=din[i])
         elif spec.kind == "batchnorm":
             x, xhat, ivar, mu = cache
             m = x.shape[0]
-            grads[i]["gamma"] = (da * xhat).sum(axis=0, keepdims=True)
-            grads[i]["beta"] = da.sum(axis=0, keepdims=True)
+            np.add.reduce(da * xhat, axis=0, keepdims=True, out=g["gamma"])
+            np.add.reduce(da, axis=0, keepdims=True, out=g["beta"])
             dxhat = da * p["gamma"]
             dvar = np.sum(dxhat * (x - mu), axis=0, keepdims=True) * (-0.5) * ivar ** 3
             dmu = -np.sum(dxhat, axis=0, keepdims=True) * ivar \
                 + dvar * np.mean(-2.0 * (x - mu), axis=0, keepdims=True)
             da = dxhat * ivar + dvar * 2.0 * (x - mu) / m + dmu / m
-    return grads
+        elif i == 0:
+            break
+        elif spec.kind == "relu":
+            (x,) = cache
+            (positive,) = fp.ws.aux[i]
+            da *= np.greater(x, 0.0, out=positive)
+        elif spec.kind == "dropout":
+            (mask,) = cache
+            if mask is not None:
+                da *= mask
+    return fp.ws.grad
 
 
-def opt_step(model: ModelState, grads, cfg: OptimizerConfig, lr: float) -> ModelState:
-    """Apply one optimizer update in place and return the model.
+@functools.lru_cache(maxsize=128)
+def _step_scratch(layout: Layout) -> tuple:
+    """opt_step's temporaries for `layout`: two theta-sized float64 vectors
+    and a theta-sized bool vector."""
+    return np.empty(layout.size), np.empty(layout.size), np.empty(layout.size, dtype=bool)
+
+
+def opt_step(model: ModelState, g: np.ndarray, cfg: OptimizerConfig,
+             lr: float) -> ModelState:
+    """Apply one optimizer update in place and return the model; `g` is the
+    flat gradient, laid out like theta.
 
     SGD with momentum: v <- mu*v - lr*g; w <- w + v. Adam uses the standard
     bias-corrected update. Each runs on the whole parameter vector at once,
@@ -399,40 +477,35 @@ def opt_step(model: ModelState, grads, cfg: OptimizerConfig, lr: float) -> Model
     opt = model.opt_state
     if cfg.kind != opt["kind"]:
         raise ValueError(f"optimizer state is {opt['kind']!r}, config wants {cfg.kind!r}")
-    layout = model.layout
-    flat_grads = []
-    for i, name, _, _, shape in layout.params:
-        g = grads[i][name]
-        if g.shape != shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {shape}")
-        flat_grads.append(g.ravel())
-    g = np.concatenate(flat_grads)
     theta = model.theta
+    if g.shape != theta.shape:
+        raise ValueError(f"gradient shape {g.shape} != parameter vector shape {theta.shape}")
+    tmp, denom, finite = _step_scratch(model.layout)
     if cfg.kind == "sgd-momentum":
         v = opt["flat"]["v"]
         v *= cfg.momentum
-        v -= lr * g
+        v -= np.multiply(lr, g, out=tmp)
         theta += v
     else:
         opt["step"] += 1
         t = opt["step"]
         m, v = opt["flat"]["m"], opt["flat"]["v"]
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=tmp)
         v *= cfg.beta2
-        gg = (1.0 - cfg.beta2) * g
+        gg = np.multiply(1.0 - cfg.beta2, g, out=tmp)
         gg *= g
         v += gg
-        step = m / (1.0 - cfg.beta1 ** t)
+        step = np.divide(m, 1.0 - cfg.beta1 ** t, out=tmp)
         step *= lr
-        denom = v / (1.0 - cfg.beta2 ** t)
+        np.divide(v, 1.0 - cfg.beta2 ** t, out=denom)
         np.sqrt(denom, out=denom)
         denom += cfg.epsilon
         step /= denom
         theta -= step
-    if not np.isfinite(theta).all():
-        i, name = next((i, name) for i, name, start, stop, _ in layout.params
-                       if not np.isfinite(theta[start:stop]).all())
+    if not np.isfinite(theta, out=finite).all():
+        i, name = next((i, name) for i, name, start, stop, _ in model.layout.params
+                       if not finite[start:stop].all())
         raise FloatingPointError(f"non-finite parameter after update (layer {i}, {name})")
     return model
 
@@ -473,7 +546,7 @@ def grad_check(model: ModelState, batch: Batch, l2_coeff: float = 0.0,
         return loss(fp.probs, batch.labels, model, l2_coeff)
 
     fp = forward(model, batch.features, apply_dropout=False, update_running=False)
-    grads = backward(model, fp, batch.labels, l2_coeff)
+    grads = model.layout.views(backward(model, fp, batch.labels, l2_coeff))
     worst = 0.0
     for i, name, w in model.param_items():
         g = grads[i][name]

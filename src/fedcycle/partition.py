@@ -27,6 +27,8 @@ class SplitPlan:
         for name in ("patients_per_institution", "patients_validation", "patients_test"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

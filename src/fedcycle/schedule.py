@@ -36,8 +36,11 @@ class PlateauPolicy:
             raise ValueError("patience must be >= 1")
         if not (0.0 < self.decay_factor < 1.0):
             raise ValueError("decay_factor must be in (0, 1)")
-        if self.max_decays < 0 or self.patience_scale < 1:
-            raise ValueError("max_decays >= 0 and patience_scale >= 1 required")
+        if not 0 <= self.max_decays < len(PHASES):
+            # one phase letter per learning-rate level
+            raise ValueError(f"max_decays must be in 0..{len(PHASES) - 1}")
+        if self.patience_scale < 1:
+            raise ValueError("patience_scale must be >= 1")
 
     @property
     def effective_patience(self) -> int:

@@ -249,7 +249,7 @@ def deserialize(data: bytes, specs) -> tuple[ModelState, PacketMeta]:
         raise CorruptionError("non-finite value in payload")
     kind = meta.opt_kind
     if kind is None:
-        opt_state = {"kind": None, "step": 0, "flat": {}, "slots": []}
+        opt_state = {"kind": None, "step": 0, "flat": {}}
     else:
         opt_state = layout.opt_state(kind, dict(zip(OPT_ROLES[kind], rest[n_bn:])),
                                      int(words[plan.step_word]))

@@ -202,6 +202,18 @@ class TestSweep:
         assert main(["sweep", str(path), "--output-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: sweep failed at seed 2: diverged\n"
 
+    def test_non_sweep_config_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        """`sweep` on a config of another heuristic exits 2 before it builds
+        a dataset or creates the output directory."""
+        path = patch_config(tmp_path)
+        monkeypatch.setattr(cli, "build_experiment",
+                            lambda plan: pytest.fail("built the dataset of a central config"))
+        assert main(["sweep", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: heuristic.kind: the `sweep` subcommand needs kind: sweep, "
+                       "got 'central'; use the `run` subcommand\n")
+        assert not (tmp_path / "out").exists()
+
     def test_m_values_above_k_exits_2(self, tmp_path, capsys):
         path = patch_config(tmp_path, **{
             "kind: central": "kind: sweep\n  m_values: [1, 3]"})

@@ -4,6 +4,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from fedcycle.cli import main
 from fedcycle.config import (ConfigError, build_dataset, build_experiment,
                              load_plan)
 from fedcycle.data import export_csv, gen_synthetic
@@ -200,6 +201,32 @@ WRONG_VALUES = [
     ("seed: 3", 'seed: 3\n  ring_gap: "big"', "dataset.ring_gap"),
     ("patience: 5", "kind: expo\n  patience: 5", "schedule.kind"),
 ]
+
+
+# Values that pass every type check yet cannot run: each must fail at load
+# (before any dataset is built) with one error line naming the key.
+INVALID_AT_LOAD = [
+    ("batch_size: 16", "batch_size: 16\n  max_epochs: 0", "training.max_epochs"),
+    ("seed: 3", "seed: -3", "dataset.seed"),
+    ("seed: 1", "seed: -3", "split.seed"),
+    ("seeds: [1, 2]", "seeds: [-1]", "seeds[0]"),
+    ("seeds: [1, 2]", "seeds: [0, 0]", "seeds"),
+    ("max_decays: 2", "max_decays: 26", "schedule.max_decays"),
+]
+
+
+@pytest.mark.parametrize("old,new,key", INVALID_AT_LOAD,
+                         ids=[f"{key}={new.split(': ')[-1]}" for _, new, key in INVALID_AT_LOAD])
+def test_invalid_value_rejected_at_load(tmp_path, capsys, old, new, key):
+    assert BASE_YAML.count(old) == 1
+    path = write_config(tmp_path, **{old: new})
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+        load_plan(path)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {key}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestSchema:

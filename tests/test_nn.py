@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from fedcycle.data import Dataset
+from fedcycle.heuristics import ExperimentConfig, mlp_specs, train_on
 from fedcycle.nn import (OPT_ROLES, Batch, LayerSpec, OptimizerConfig,
                          backward, forward, glorot_init, grad_check, gradcheck_suite,
                          has_flat_relu, init_model, loss, opt_step,
-                         validate_specs)
+                         validate_specs, workspace)
+from fedcycle.schedule import PlateauPolicy
+from test_transport import GOLDEN_MODELS
 
 
 def sigmoid_model(W, b, w_head, b_head, opt_kind="sgd-momentum"):
@@ -163,7 +167,7 @@ class TestBackward:
         x = np.zeros((4, 2))
         y = np.array([0, 1, 0, 1])
         fp = forward(m, x, train=True)
-        grads = backward(m, fp, y)
+        grads = m.layout.views(backward(m, fp, y))
         assert np.allclose(grads[0]["W"], 0.0)
         assert not np.allclose(grads[0]["b"], 0.0)
 
@@ -180,8 +184,9 @@ class TestBackward:
         l2 = 0.13
         fp = forward(m, np.random.default_rng(2).normal(size=(6, 2)), train=True)
         y = np.array([0, 1, 1, 0, 1, 0])
-        g_with = backward(m, fp, y, l2_coeff=l2)
-        g_without = backward(m, fp, y, l2_coeff=0.0)
+        # the second backward through fp's workspace overwrites the first's vector
+        g_with = m.layout.views(backward(m, fp, y, l2_coeff=l2).copy())
+        g_without = m.layout.views(backward(m, fp, y, l2_coeff=0.0))
         for layer in (0, 1):
             diff = g_with[layer]["W"] - g_without[layer]["W"]
             assert np.allclose(diff, l2 * m.params[layer]["W"])
@@ -208,7 +213,7 @@ class TestOptStep:
         return m
 
     def grad_of_one(self, m):
-        return [{"W": np.array([[1.0]]), "b": np.array([[0.0]])}]
+        return np.array([1.0, 0.0])  # W, then b
 
     def test_first_step_is_plain_sgd(self):
         m = self.make_scalar_model()
@@ -223,7 +228,7 @@ class TestOptStep:
         opt_step(m, self.grad_of_one(m), cfg, 0.1)
         # v2 = 0.9*(-0.1) - 0.1 = -0.19; w = -0.1 - 0.19
         assert m.params[0]["W"][0, 0] == pytest.approx(-0.29)
-        assert m.opt_state["slots"][0]["W"]["v"][0, 0] == pytest.approx(-0.19)
+        assert m.layout.views(m.opt_state["flat"]["v"])[0]["W"][0, 0] == pytest.approx(-0.19)
 
     def test_zero_momentum_equals_vanilla_sgd(self):
         rng = np.random.default_rng(5)
@@ -232,7 +237,7 @@ class TestOptStep:
         cfg = OptimizerConfig("sgd-momentum", 0.1, momentum=0.0)
         expected = 0.0
         for g in grads_seq:
-            opt_step(m, [{"W": np.array([[g]]), "b": np.zeros((1, 1))}], cfg, 0.05)
+            opt_step(m, np.array([g, 0.0]), cfg, 0.05)
             expected -= 0.05 * g
         assert m.params[0]["W"][0, 0] == pytest.approx(expected)
 
@@ -299,15 +304,15 @@ class TestFlatStore:
         for t in range(1, 61):
             x = rng.normal(size=(16, 3))
             y = rng.integers(0, 3, 16)
-            grads = backward(m, forward(m, x, rng=rng), y, cfg.l2_coeff)
+            g = backward(m, forward(m, x, rng=rng), y, cfg.l2_coeff)
             lr = 0.05 if t <= 30 else 0.0125
-            opt_step(m, grads, cfg, lr)
-            reference_step(params, slots, grads, cfg, lr, t)
+            opt_step(m, g, cfg, lr)
+            reference_step(params, slots, m.layout.views(g), cfg, lr, t)
+        role_views = {role: m.layout.views(m.opt_state["flat"][role]) for role in roles}
         for i, name, w in m.param_items():
             assert np.array_equal(w, params[i][name])
             for role in roles:
-                assert np.array_equal(m.opt_state["slots"][i][name][role],
-                                      slots[i][name][role])
+                assert np.array_equal(role_views[role][i][name], slots[i][name][role])
 
     @pytest.mark.parametrize("kind", ["sgd-momentum", "adam"])
     def test_params_and_slots_are_views_of_flat_vectors(self, kind):
@@ -316,20 +321,63 @@ class TestFlatStore:
         assert m.theta.size == sum(w.size for _, _, w in m.param_items())
         assert np.array_equal(np.concatenate([w.ravel() for _, _, w in m.param_items()]),
                               m.theta)
+        role_views = {role: m.layout.views(vec) for role, vec in flat.items()}
         for i, name, w in m.param_items():
             assert np.shares_memory(w, m.theta)
-            for role, buf in m.opt_state["slots"][i][name].items():
-                assert buf.shape == w.shape
-                assert np.shares_memory(buf, flat[role])
+            for role, views in role_views.items():
+                assert views[i][name].shape == w.shape
+                assert np.shares_memory(views[i][name], flat[role])
                 assert flat[role].size == m.theta.size
 
     def test_non_finite_update_names_the_tensor(self):
         m = init_model(self.SPECS, OptimizerConfig("sgd-momentum", 0.1),
                        np.random.default_rng(0))
-        grads = [{k: np.zeros_like(w) for k, w in p.items()} for p in m.params]
-        grads[1]["beta"][0, 2] = np.inf
+        g = np.zeros(m.theta.size)
+        m.layout.views(g)[1]["beta"][0, 2] = np.inf
         with pytest.raises(FloatingPointError, match=r"layer 1, beta"):
-            opt_step(m, grads, OptimizerConfig("sgd-momentum", 0.1), 0.1)
+            opt_step(m, g, OptimizerConfig("sgd-momentum", 0.1), 0.1)
+
+    def test_gradient_must_match_theta(self):
+        m = init_model(self.SPECS, OptimizerConfig("adam", 0.1), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="gradient shape"):
+            opt_step(m, np.zeros(m.theta.size - 1), OptimizerConfig("adam", 0.1), 0.1)
+        assert m.opt_state["step"] == 0
+
+
+class TestWorkspace:
+    SPECS = TestFlatStore.SPECS
+
+    def batch(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(16, 3)), rng.integers(0, 3, 16)
+
+    def test_shared_workspace_matches_fresh(self):
+        m = init_model(self.SPECS, OptimizerConfig("adam", 0.1), np.random.default_rng(0))
+        ws = workspace(m.layout, 16)
+        assert workspace(m.layout, 16) is ws
+        grads = []
+        for seed in (1, 2):
+            x, y = self.batch(seed)
+            fp = forward(m, x, np.random.default_rng(seed), ws=ws, update_running=False)
+            assert fp.probs is ws.out[-1]
+            grads.append(backward(m, fp, y, 0.01))
+            fresh = forward(m, x, np.random.default_rng(seed), update_running=False)
+            assert fresh.ws is not ws
+            expected = backward(m, fresh, y, 0.01)
+            assert np.array_equal(grads[-1], expected)
+        # the flat gradient belongs to the workspace: the second backward
+        # through it overwrote the first one's vector
+        assert grads[0] is grads[1] is ws.grad
+
+    def test_workspace_must_fit(self):
+        m = init_model(self.SPECS, OptimizerConfig("adam", 0.1), np.random.default_rng(0))
+        x, _ = self.batch(1)
+        with pytest.raises(ValueError, match="workspace"):
+            forward(m, x[:15], np.random.default_rng(1), ws=workspace(m.layout, 16))
+        other = init_model(self.SPECS[:3] + [self.SPECS[4]], OptimizerConfig("adam", 0.1),
+                           np.random.default_rng(0))
+        with pytest.raises(ValueError, match="workspace"):
+            forward(other, x, ws=workspace(m.layout, 16))
 
 
 class TestGradCheck:
@@ -351,27 +399,30 @@ class TestGradCheck:
         assert gradcheck_suite(n_seeds=3) < 1e-4
 
 
-def _training_cfg(name):
-    from fedcycle.heuristics import ExperimentConfig
-    from fedcycle.schedule import PlateauPolicy
-    from test_transport import GOLDEN_MODELS
+# The golden architectures of the wire-format tests, and a softmax head.
+TRAINING_MODELS = {**GOLDEN_MODELS,
+                   "softmax-batchnorm-dropout-adam":
+                       (mlp_specs(4, [8], 3, batchnorm=True, dropout=0.2), "adam")}
 
-    specs, kind = GOLDEN_MODELS[name]
+
+def _training_cfg(name):
+    specs, kind = TRAINING_MODELS[name]
     opt = OptimizerConfig(kind, 0.05 if kind == "sgd-momentum" else 0.01,
                           l2_coeff=0.001 if name == "ordering-adam" else 0.0)
     # batch 8 over 37 samples leaves a partial last batch of 5
     return ExperimentConfig(model_specs=specs, optimizer=opt,
                             plateau=PlateauPolicy(5, 0.5, 1), batch_size=8,
-                            augment_sigma=0.05 if name == "batchnorm-dropout-adam" else 0.0)
+                            augment_sigma=0.05 if "batchnorm" in name else 0.0)
 
 
 def _cohort(cfg, seed, n=37):
-    from fedcycle.data import Dataset
-
     rng = np.random.default_rng([seed, 8])
     features = rng.normal(size=(n, cfg.model_specs[0].in_dim))
-    return Dataset(np.array([f"p{i}" for i in range(n)]), features,
-                   (features[:, 0] > 0).astype(np.int64), 2)
+    labels = (features[:, 0] > 0).astype(np.int64)
+    num_classes = max(2, cfg.model_specs[-1].out_dim)
+    if num_classes > 2:
+        labels += features[:, 1] > 0.5
+    return Dataset(np.array([f"p{i}" for i in range(n)]), features, labels, num_classes)
 
 
 def _state_digest(m):
@@ -389,8 +440,6 @@ def _state_digest(m):
 def _trainer(name, seed, n=37):
     """A fresh model of architecture `name` with its own cohort and
     generator; each call of the returned function trains one epoch."""
-    from fedcycle.heuristics import train_on
-
     cfg = _training_cfg(name)
     m = init_model(cfg.model_specs, cfg.optimizer, np.random.default_rng([seed, 0]))
     cohort, rng = _cohort(cfg, seed, n), np.random.default_rng([seed, 1])
@@ -410,6 +459,8 @@ TRAINING_SHA256 = {
         "cb5d17421e6aafacaaeb2aad0abc73012fe1d091cdefe4080a17e8c5fbafb524",
     "batchnorm-dropout-adam":
         "5e7018556aab1128347fb4b1ca0552b57c1f29e5abc8c4e07364547465fe44de",
+    "softmax-batchnorm-dropout-adam":
+        "08247501db9027b2963d5e362e3ceca0d4ee62b4f6fbdc9c5ba944ed99b13712",
 }
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fedcycle.schedule import (CONTINUE, DECAY, STOP, ExpDecayPolicy,
+from fedcycle.schedule import (CONTINUE, DECAY, PHASES, STOP, ExpDecayPolicy,
                                PlateauPolicy, PlateauState, exp_decay_lr,
                                observe)
 
@@ -104,6 +104,18 @@ class TestPolicyValidation:
         base.update(kw)
         with pytest.raises(ValueError):
             PlateauPolicy(**base)
+
+    def test_max_decays_bounded_by_phase_letters(self):
+        """Every learning-rate level gets a phase letter, A to Z: 25 decays
+        are the most a policy may allow."""
+        assert len(PHASES) == 26
+        with pytest.raises(ValueError, match=r"max_decays must be in 0\.\.25"):
+            PlateauPolicy(patience=1, decay_factor=0.5, max_decays=26)
+        policy = PlateauPolicy(patience=1, decay_factor=0.5, max_decays=25)
+        state = PlateauState.fresh(0.1)
+        actions = [observe(state, policy, 1.0) for _ in range(27)]
+        assert [a.kind for a in actions] == [DECAY] * 25 + [STOP, STOP]
+        assert state.phase == "Z"
 
     def test_effective_patience(self):
         assert PlateauPolicy(20, 0.25, 3, patience_scale=4).effective_patience == 80

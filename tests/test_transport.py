@@ -40,10 +40,12 @@ def models_equal(a: ModelState, b: ModelState) -> bool:
         return False
     if a.opt_state["step"] != b.opt_state["step"]:
         return False
-    for sa, sb in zip(a.opt_state["slots"], b.opt_state["slots"]):
-        for name in sa:
-            for bname in sa[name]:
-                if not np.array_equal(sa[name][bname], sb[name][bname]):
+    if a.opt_state["flat"].keys() != b.opt_state["flat"].keys():
+        return False
+    for role, vec in a.opt_state["flat"].items():
+        for va, vb in zip(a.layout.views(vec), b.layout.views(b.opt_state["flat"][role])):
+            for name in va:
+                if not np.array_equal(va[name], vb[name]):
                     return False
     return True
 
@@ -137,10 +139,14 @@ class TestDeserializeStructure:
 
     def test_views_after_deserialize(self):
         back, _ = deserialize(serialize(make_model()), SPECS)
+        flat = back.opt_state["flat"]
+        role_views = {role: back.layout.views(vec) for role, vec in flat.items()}
+        assert set(role_views) == {"m", "v"}
         for i, name, w in back.param_items():
             assert np.shares_memory(w, back.theta)
-            for role, buf in back.opt_state["slots"][i][name].items():
-                assert np.shares_memory(buf, back.opt_state["flat"][role])
+            for role, views in role_views.items():
+                assert views[i][name].shape == w.shape
+                assert np.shares_memory(views[i][name], flat[role])
 
     def test_wrong_tensor_shape(self):
         header, tensors = self.tensors()
@@ -308,9 +314,8 @@ class TestCachedPlans:
     def test_other_optimizer_state_fails_at_the_step(self):
         back, meta = deserialize(serialize(make_model(opt="sgd-momentum")), SPECS)
         assert meta.opt_kind == "sgd-momentum"
-        grads = [{name: np.zeros_like(w) for name, w in p.items()} for p in back.params]
         with pytest.raises(ValueError, match="optimizer state is 'sgd-momentum'"):
-            opt_step(back, grads, OptimizerConfig("adam", 1e-3), 1e-3)
+            opt_step(back, np.zeros(back.theta.size), OptimizerConfig("adam", 1e-3), 1e-3)
 
     def test_deserialized_arrays_are_owned(self):
         data = serialize(golden_model("batchnorm-dropout-adam"))
