@@ -415,7 +415,10 @@ def backward(model: ModelState, fp: ForwardPass, labels: np.ndarray,
     labels = np.asarray(labels)
     n = len(labels)
     grads, l2, l2_views, dz, din = fp.ws.back
-    np.multiply(l2_coeff, model.theta, out=l2)
+    # Without L2 the weight term is a zero, and adding a zero to np.dot's
+    # result changes no bit (its sums start from +0.0, so none is -0.0).
+    if l2_coeff:
+        np.multiply(l2_coeff, model.theta, out=l2)
     probs = fp.probs
     if model.specs[-1].kind == "sigmoid-head":
         np.subtract(probs, labels[:, None], out=dz)
@@ -429,7 +432,8 @@ def backward(model: ModelState, fp: ForwardPass, labels: np.ndarray,
         if "W" in p:
             x = cache[0]
             np.dot(x.T, da, out=g["W"])
-            g["W"] += l2_views[i]["W"]
+            if l2_coeff:
+                g["W"] += l2_views[i]["W"]
             np.add.reduce(da, axis=0, keepdims=True, out=g["b"])
             if i:
                 da = np.dot(da, p["W"].T, out=din[i])
