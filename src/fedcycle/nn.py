@@ -466,7 +466,7 @@ def backward(model: ModelState, fp: ForwardPass, labels: np.ndarray,
 
 
 @functools.lru_cache(maxsize=128)
-def _step_scratch(layout: Layout) -> tuple:
+def _step_buffers(layout: Layout) -> tuple:
     """opt_step's temporaries for `layout`: two theta-sized float64 vectors
     and a theta-sized bool vector."""
     return np.empty(layout.size), np.empty(layout.size), np.empty(layout.size, dtype=bool)
@@ -489,7 +489,7 @@ def opt_step(model: ModelState, g: np.ndarray, cfg: OptimizerConfig,
     theta = model.theta
     if g.shape != theta.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter vector shape {theta.shape}")
-    tmp, denom, finite = _step_scratch(model.layout)
+    tmp, denom, finite = _step_buffers(model.layout)
     if cfg.kind == "sgd-momentum":
         v = opt["flat"]["v"]
         v *= cfg.momentum
