@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import transport
-from .config import ConfigError, build_experiment, load_plan
+from .config import ConfigError, build_experiment, load_plan, seed_value
 from .heuristics import run_heuristic, run_scaling_sweep
 from .nn import gradcheck_suite
 from .partition import CapacityError, stratified_split, write_manifest
@@ -25,9 +25,10 @@ def _env_seed() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        raw = int(raw)
     except ValueError:
-        raise SystemExit(f"FEDCYCLE_SEED must be an integer, got {raw!r}")
+        pass  # seed_value names the variable and the value
+    return seed_value(raw, "FEDCYCLE_SEED")
 
 
 def write_metrics_csv(path, rows) -> None:
@@ -91,7 +92,7 @@ def _prepare(args, *, sweep: bool):
     seeds = plan.seeds
     override = _env_seed()
     if args.seed_override is not None:
-        override = args.seed_override
+        override = seed_value(args.seed_override, "--seed-override")
     if override is not None:
         seeds = (override,)
     heuristic = plan.heuristic
@@ -129,10 +130,10 @@ def cmd_run(args) -> int:
         summaries.append(summary)
         print(f"seed {seed}: train {result.train_accuracy:.4f} "
               f"val {result.validation_accuracy:.4f} test {result.test_accuracy:.4f}")
-    _write_json(outdir / "aggregate.json", _aggregate(summaries))
-    agg = _aggregate(summaries)["test_accuracy"]
+    agg = _aggregate(summaries)
+    _write_json(outdir / "aggregate.json", agg)
     print(f"test accuracy over {len(seeds)} seed(s): "
-          f"{agg['mean']:.4f} +/- {agg['std']:.4f}")
+          f"{agg['test_accuracy']['mean']:.4f} +/- {agg['test_accuracy']['std']:.4f}")
     return 0
 
 

@@ -102,7 +102,7 @@ def _read(target, section: dict, where: str, **fixed):
         raise ConfigError(f"{where}: {msg}" if where else msg) from exc
 
 
-def _seed(value, where: str) -> int:
+def seed_value(value, where: str) -> int:
     seed = _check(value, int, where)
     if seed < 0:
         raise ConfigError(f"{where}: must be >= 0, got {seed}")
@@ -137,11 +137,11 @@ def _plan(dataset: dict, split: dict, model: dict, optimizer: dict, schedule: di
     if not seeds:
         raise ConfigError("seeds: must be a non-empty list of integers")
     for i, seed in enumerate(seeds):
-        _seed(seed, f"seeds[{i}]")
+        seed_value(seed, f"seeds[{i}]")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds: each seed may appear only once, got {list(seeds)}")
     if dataset.get("kind") != "csv":
-        _seed(dataset.get("seed", 0), "dataset.seed")
+        seed_value(dataset.get("seed", 0), "dataset.seed")
     plateau, exp_decay = _read(_schedule, schedule, "schedule")
     # model_specs depend on the dataset and are filled in build_experiment.
     base = _read(ExperimentConfig, training, "training", model_specs=[],
@@ -156,7 +156,7 @@ def _plan(dataset: dict, split: dict, model: dict, optimizer: dict, schedule: di
 def build_dataset(section: dict) -> Dataset:
     if section.get("kind") == "csv":
         return _read(load_csv, {k: v for k, v in section.items() if k != "kind"}, "dataset")
-    seed = _seed(section.get("seed", 0), "dataset.seed")
+    seed = seed_value(section.get("seed", 0), "dataset.seed")
     return _read(gen_synthetic, {k: v for k, v in section.items() if k != "seed"},
                  "dataset", rng=np.random.default_rng([seed, 2]))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import transport
 from .data import Batch, Dataset, augment, normalize
-from .nn import (LayerSpec, ModelState, OptimizerConfig, backward,
+from .nn import (LayerSpec, ModelState, OptimizerConfig, OptState, backward,
                  forward, init_model, loss, opt_step, workspace)
 from .partition import Split, pool
 from .schedule import (CONTINUE, STOP, ExpDecayPolicy, PlateauPolicy,
@@ -211,7 +211,7 @@ def _handoff(model: ModelState, cfg: ExperimentConfig, channel, *,
                                 global_epoch=global_epoch)
     new_model, _ = transport.deserialize(delivered, model.specs)
     if not cfg.carry_opt_state:
-        new_model.opt_state = new_model.layout.opt_state(cfg.optimizer.kind)
+        new_model.opt_state = OptState.zeros(cfg.optimizer.kind, new_model.layout.size)
     return new_model
 
 

@@ -25,6 +25,8 @@ PARAM_ORDER = {
     "relu": (),
     "dropout": (),
 }
+# Running statistics per layer kind, in canonical (wire) order.
+RUNNING_ORDER = {"batchnorm": ("mean", "var")}
 # Optimizer state vectors per optimizer kind, in wire order per parameter.
 OPT_ROLES = {"sgd-momentum": ("v",), "adam": ("m", "v")}
 
@@ -91,8 +93,11 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
+        for name in ("momentum", "beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be > 0")
         if self.l2_coeff < 0:
             raise ValueError("l2_coeff must be >= 0")
 
@@ -110,8 +115,8 @@ class Batch:
 
 
 class ParamSlice(NamedTuple):
-    """Where one parameter lives: layer `layer`, name `name`, elements
-    `start:stop` of theta, reshaped to `shape`."""
+    """Where one parameter or running statistic lives: layer `layer`, name
+    `name`, elements `start:stop` of its vector, reshaped to `shape`."""
     layer: int
     name: str
     start: int
@@ -122,25 +127,19 @@ class ParamSlice(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Layout:
     """The fixed facts of one architecture, worked out once by `layout_of`:
-    each parameter's slice of theta, in canonical (wire) order."""
+    each parameter's and running statistic's slice of its vector, in wire order."""
     specs: tuple
     params: tuple       # ParamSlice per parameter
     size: int           # parameter count, len(theta)
-    batchnorm: tuple    # indexes of the batch-norm layers
+    running: tuple      # ParamSlice per running statistic: mean, var per batch-norm layer
+    running_size: int   # len of the running vector
 
-    def views(self, flat: np.ndarray) -> list:
-        """Per layer: dict name -> parameter-shaped view into the vector `flat`."""
+    def views(self, flat: np.ndarray, slices: tuple | None = None) -> list:
+        """Per layer: dict name -> view into `flat` of each of `slices` (default: params)."""
         views = [{} for _ in self.specs]
-        for i, name, start, stop, shape in self.params:
+        for i, name, start, stop, shape in self.params if slices is None else slices:
             views[i][name] = flat[start:stop].reshape(shape)
         return views
-
-    def opt_state(self, kind: str, flat: dict | None = None, step: int = 0) -> dict:
-        """Optimizer state over the role vectors `flat` (zeros when None): one
-        vector the size of theta per role in "flat"."""
-        if flat is None:
-            flat = {role: np.zeros(self.size) for role in OPT_ROLES[kind]}
-        return {"kind": kind, "step": step, "flat": flat}
 
 
 def layout_of(specs) -> Layout:
@@ -149,35 +148,56 @@ def layout_of(specs) -> Layout:
     return _layout(tuple(specs))
 
 
+def _slices(specs: tuple, order: dict) -> tuple:
+    """The ParamSlices of each layer's `order[kind]` names, back to back, and their total."""
+    slices, start = [], 0
+    for i, spec in enumerate(specs):
+        for name in order.get(spec.kind, ()):
+            shape = (spec.in_dim if name == "W" else 1, spec.out_dim)
+            slices.append(ParamSlice(i, name, start, start + shape[0] * shape[1], shape))
+            start += shape[0] * shape[1]
+    return tuple(slices), start
+
+
 @functools.lru_cache(maxsize=128)
 def _layout(specs: tuple) -> Layout:
     validate_specs(specs)
-    params, start = [], 0
-    for i, spec in enumerate(specs):
-        for name in PARAM_ORDER[spec.kind]:
-            shape = (spec.in_dim if name == "W" else 1, spec.out_dim)
-            params.append(ParamSlice(i, name, start, start + shape[0] * shape[1], shape))
-            start += shape[0] * shape[1]
-    return Layout(specs=specs, params=tuple(params), size=start,
-                  batchnorm=tuple(i for i, s in enumerate(specs) if s.kind == "batchnorm"))
+    return Layout(specs, *_slices(specs, PARAM_ORDER), *_slices(specs, RUNNING_ORDER))
+
+
+@dataclass
+class OptState:
+    """Optimizer state: its kind (None when a packet carried none), the
+    Adam step count, and one theta-sized vector per role in OPT_ROLES."""
+    kind: str | None
+    step: int = 0
+    flat: dict = field(default_factory=dict)
+
+    @classmethod
+    def zeros(cls, kind: str, size: int) -> OptState:
+        return cls(kind, 0, {role: np.zeros(size) for role in OPT_ROLES[kind]})
 
 
 @dataclass
 class ModelState:
-    """A model whose parameters live in one float64 vector, `theta`, laid
-    out in canonical (wire) order; `params` holds views into it, so writes
-    must go through the arrays (``w[...] = x``), never rebind them."""
-    specs: list
+    """A model: its layout, its parameters in one float64 vector `theta`, its
+    batch-norm running statistics in another, `running`, and its optimizer
+    state. `params` and `stats` hold per-layer views into theta and running,
+    so writes must go through the arrays (``w[...] = x``), never rebind them."""
+    layout: Layout = field(repr=False)
     theta: np.ndarray
-    bn_running: list    # per layer: {"mean", "var"} for batchnorm, else {}
-    opt_state: dict     # see Layout.opt_state
-    layout: Layout | None = field(default=None, repr=False)  # looked up from specs when None
+    running: np.ndarray
+    opt_state: OptState
     params: list = field(init=False)  # per layer: dict name -> (r, c) view into theta
+    stats: list = field(init=False)   # per layer: {"mean", "var"} (1, d) views for batchnorm
 
     def __post_init__(self):
-        if self.layout is None:
-            self.layout = layout_of(self.specs)
         self.params = self.layout.views(self.theta)
+        self.stats = self.layout.views(self.running, self.layout.running)
+
+    @property
+    def specs(self) -> tuple:
+        return self.layout.specs
 
     @property
     def num_classes(self) -> int:
@@ -200,20 +220,18 @@ def glorot_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarr
 def init_model(specs, opt_cfg: OptimizerConfig, rng: np.random.Generator) -> ModelState:
     """Build a ModelState with Glorot-uniform weights (biases included)."""
     layout = layout_of(specs)
-    model = ModelState(specs=list(layout.specs), theta=np.empty(layout.size),
-                       bn_running=[{} for _ in layout.specs],
-                       opt_state=layout.opt_state(opt_cfg.kind), layout=layout)
-    for spec, p, run in zip(layout.specs, model.params, model.bn_running):
+    model = ModelState(layout, np.empty(layout.size), np.zeros(layout.running_size),
+                       OptState.zeros(opt_cfg.kind, layout.size))
+    for spec, p, run in zip(layout.specs, model.params, model.stats):
         if spec.kind in ("affine",) + HEAD_KINDS:
             limit = math.sqrt(6.0 / (spec.in_dim + spec.out_dim))
             p["W"][...] = glorot_init(spec.in_dim, spec.out_dim, rng)
             # biases share the layer's Glorot limit (same fan pair)
             p["b"][...] = rng.uniform(-limit, limit, size=(1, spec.out_dim))
         elif spec.kind == "batchnorm":
-            d = spec.out_dim
             p["gamma"][...] = 1.0
             p["beta"][...] = 0.0
-            run.update(mean=np.zeros((1, d)), var=np.ones((1, d)))
+            run["var"][...] = 1.0
     return model
 
 
@@ -283,17 +301,17 @@ class ForwardPass:
 
 
 def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | None = None,
-            *, train: bool = True, apply_dropout: bool = True,
-            update_running: bool = True, ws: Workspace | None = None) -> ForwardPass:
+            *, train: bool = True, pure: bool = False, ws: Workspace | None = None) -> ForwardPass:
     """Run the network in train mode, or in eval mode with `train=False`.
 
     In eval mode dropout is the identity and batch norm uses running
     statistics, so the call is pure. In train mode batch norm uses batch
-    statistics (and updates the running averages unless told not to) and
-    dropout draws a fresh inverted-scaling mask from `rng`. The pass writes
-    into `ws`, a Workspace of the model's layout with one row per sample,
-    or into a fresh one when None; `probs` and the caches are its arrays.
-    Only a train-mode pass keeps every layer's input in the caches.
+    statistics and updates the running averages in place, and dropout
+    draws a fresh inverted-scaling mask from `rng`; `pure=True` does
+    neither. The pass writes into `ws`, a Workspace of the model's layout
+    with one row per sample, or into a fresh one when None; `probs` and the
+    caches are its arrays. Only a train-mode pass keeps every layer's input
+    in the caches.
     """
     if features.ndim != 2 or features.shape[1] != model.specs[0].in_dim:
         raise ValueError(
@@ -322,13 +340,13 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
             if train:
                 mu = a.mean(axis=0, keepdims=True)
                 var = a.var(axis=0, keepdims=True)
-                if update_running:
-                    run = model.bn_running[i]
-                    run["mean"] = BN_DECAY * run["mean"] + (1.0 - BN_DECAY) * mu
-                    run["var"] = BN_DECAY * run["var"] + (1.0 - BN_DECAY) * var
+                if not pure:
+                    run = model.stats[i]
+                    run["mean"][...] = BN_DECAY * run["mean"] + (1.0 - BN_DECAY) * mu
+                    run["var"][...] = BN_DECAY * run["var"] + (1.0 - BN_DECAY) * var
             else:
-                mu = model.bn_running[i]["mean"]
-                var = model.bn_running[i]["var"]
+                mu = model.stats[i]["mean"]
+                var = model.stats[i]["var"]
             ivar = 1.0 / np.sqrt(var + BN_EPS)
             (xhat,) = aux
             np.subtract(a, mu, out=xhat)
@@ -337,7 +355,7 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
             np.multiply(p["gamma"], xhat, out=out)
             out += p["beta"]
         elif spec.kind == "dropout":
-            if train and apply_dropout and spec.dropout_rate > 0.0:
+            if train and not pure and spec.dropout_rate > 0.0:
                 if rng is None:
                     raise ValueError("train-mode dropout needs a generator")
                 keep = 1.0 - spec.dropout_rate
@@ -484,21 +502,21 @@ def opt_step(model: ModelState, g: np.ndarray, cfg: OptimizerConfig,
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
     opt = model.opt_state
-    if cfg.kind != opt["kind"]:
-        raise ValueError(f"optimizer state is {opt['kind']!r}, config wants {cfg.kind!r}")
+    if cfg.kind != opt.kind:
+        raise ValueError(f"optimizer state is {opt.kind!r}, config wants {cfg.kind!r}")
     theta = model.theta
     if g.shape != theta.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter vector shape {theta.shape}")
     tmp, denom, finite = _step_buffers(model.layout)
     if cfg.kind == "sgd-momentum":
-        v = opt["flat"]["v"]
+        v = opt.flat["v"]
         v *= cfg.momentum
         v -= np.multiply(lr, g, out=tmp)
         theta += v
     else:
-        opt["step"] += 1
-        t = opt["step"]
-        m, v = opt["flat"]["m"], opt["flat"]["v"]
+        opt.step += 1
+        t = opt.step
+        m, v = opt.flat["m"], opt.flat["v"]
         m *= cfg.beta1
         m += np.multiply(1.0 - cfg.beta1, g, out=tmp)
         v *= cfg.beta2
@@ -525,7 +543,7 @@ def has_flat_relu(model: ModelState, features: np.ndarray) -> bool:
     Such a unit makes the loss locally flat in its incoming parameters, so
     a finite-difference probe there measures only float round-off.
     """
-    fp = forward(model, features, apply_dropout=False, update_running=False)
+    fp = forward(model, features, pure=True)
     for spec, cache in zip(model.specs, fp.caches):
         if spec.kind == "relu":
             (x,) = cache
@@ -551,10 +569,10 @@ def grad_check(model: ModelState, batch: Batch, l2_coeff: float = 0.0,
         raise ValueError("finite-difference step must be > 0")
 
     def loss_at():
-        fp = forward(model, batch.features, apply_dropout=False, update_running=False)
+        fp = forward(model, batch.features, pure=True)
         return loss(fp.probs, batch.labels, model, l2_coeff)
 
-    fp = forward(model, batch.features, apply_dropout=False, update_running=False)
+    fp = forward(model, batch.features, pure=True)
     grads = model.layout.views(backward(model, fp, batch.labels, l2_coeff))
     worst = 0.0
     for i, name, w in model.param_items():

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import OPT_ROLES, Layout, ModelState, layout_of
+from .nn import OPT_ROLES, Layout, ModelState, OptState, layout_of
 
 MAGIC = b"FWT1"
 FORMAT_VERSION = 1
@@ -95,9 +95,9 @@ class _WirePlan:
     The payload is a run of 8-byte words: per tensor one (rows, cols) header
     word, then rows*cols f64 values. `template` has every header word filled
     in and the values zeroed; `index` holds, per vector a packet carries
-    (theta, each batch-norm layer's running mean and variance, then each
-    optimizer role's vector), the word of each of its elements, shaped like
-    the vector. The step count, with an optimizer kind, is word `step_word`.
+    (theta, the running statistics, then each optimizer role's vector), the
+    word of each of its elements. The step count, with an optimizer kind, is
+    word `step_word`.
     """
     arch_hash: int
     table: tuple          # (rows, cols, data offset) per tensor, as _read_table reads it
@@ -122,8 +122,7 @@ def _wire_plan(layout: Layout, opt_kind: str | None) -> _WirePlan:
         return np.arange(words - rows * cols, words)
 
     theta_idx = np.concatenate([tensor(*p.shape) for p in layout.params])
-    bn_idx = [tensor(1, layout.specs[i].out_dim).reshape(1, -1)
-              for i in layout.batchnorm for _ in ("mean", "var")]
+    running_idx = np.concatenate([tensor(*s.shape) for s in layout.running] or [np.arange(0)])
     role_idx, step_word = {}, None
     if opt_kind is not None:
         (step_word,) = tensor(1, 1)
@@ -138,36 +137,27 @@ def _wire_plan(layout: Layout, opt_kind: str | None) -> _WirePlan:
     # words included; only a width of 0x7FF00000 or more reads as inf or NaN.
     if not np.isfinite(template).all():
         raise ValueError("layer too wide for the wire format")
-    index = tuple(_read_only(a) for a in (theta_idx, *bn_idx, *role_idx.values()))
+    index = tuple(_read_only(a) for a in (theta_idx, running_idx, *role_idx.values()))
     return _WirePlan(arch_hash=arch_hash(layout.specs), table=tuple(table),
                      template=_read_only(template), index=index,
                      vector_shapes=tuple(a.shape for a in index),
                      step_word=None if step_word is None else int(step_word))
 
 
-def _vectors(model: ModelState, opt_kind: str | None) -> list:
-    """Every array a packet carries apart from the step count, in the order
-    of _WirePlan.index."""
-    out = [model.theta]
-    for i in model.layout.batchnorm:
-        out += [model.bn_running[i]["mean"], model.bn_running[i]["var"]]
-    if opt_kind is not None:
-        out += [model.opt_state["flat"][role] for role in OPT_ROLES[opt_kind]]
-    return out
-
-
 def serialize(model: ModelState, *, global_epoch: int = 0, origin: int = 0,
               carry_opt_state: bool = True) -> bytes:
-    opt_kind = model.opt_state["kind"] if carry_opt_state else None
+    opt = model.opt_state
+    opt_kind = opt.kind if carry_opt_state else None
     plan = _wire_plan(model.layout, opt_kind)
-    vectors = _vectors(model, opt_kind)
+    vectors = [model.theta, model.running,
+               *[opt.flat[role] for role in OPT_ROLES.get(opt_kind, ())]]
     if tuple([v.shape for v in vectors]) != plan.vector_shapes:
         raise ValueError("model arrays do not match the model's layer specs")
     words = plan.template.copy()
     for index, vec in zip(plan.index, vectors):
         words[index] = vec
     if opt_kind is not None:
-        words[plan.step_word] = float(model.opt_state["step"])
+        words[plan.step_word] = float(opt.step)
     if not np.isfinite(words).all():
         raise ValueError("refusing to serialize non-finite parameters")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, plan.arch_hash,
@@ -238,23 +228,16 @@ def deserialize(data: bytes, specs) -> tuple[ModelState, PacketMeta]:
     # each gather from it is a fresh array the model owns.
     words = np.frombuffer(data, dtype="<f8", count=len(plan.template),
                           offset=_HEADER.size).copy()
-    theta, *rest = [words[index] for index in plan.index]
-    n_bn = 2 * len(layout.batchnorm)
-    bn_running = [{} for _ in layout.specs]
-    for i, mean, var in zip(layout.batchnorm, rest[0:n_bn:2], rest[1:n_bn:2]):
-        bn_running[i].update(mean=mean, var=var)
-    if any(np.any(bn_running[i]["var"] <= 0) for i in layout.batchnorm):
+    theta, running, *roles = [words[index] for index in plan.index]
+    kind = meta.opt_kind
+    model = ModelState(layout, theta, running,
+                       OptState(kind, 0, dict(zip(OPT_ROLES.get(kind, ()), roles))))
+    if any(np.any(run["var"] <= 0) for run in model.stats if run):
         raise FormatError("non-positive running variance")
     if not np.isfinite(words).all():
         raise CorruptionError("non-finite value in payload")
-    kind = meta.opt_kind
-    if kind is None:
-        opt_state = {"kind": None, "step": 0, "flat": {}}
-    else:
-        opt_state = layout.opt_state(kind, dict(zip(OPT_ROLES[kind], rest[n_bn:])),
-                                     int(words[plan.step_word]))
-    model = ModelState(specs=list(layout.specs), theta=theta, bn_running=bn_running,
-                       opt_state=opt_state, layout=layout)
+    if kind is not None:
+        model.opt_state.step = int(words[plan.step_word])
     return model, meta
 
 

@@ -114,6 +114,22 @@ class TestRun:
         assert (outdir / "metrics_seed8.csv").exists()
         assert not (outdir / "metrics_seed7.csv").exists()
 
+    @pytest.mark.parametrize("env,flag,message", [
+        ("-1", None, "FEDCYCLE_SEED: must be >= 0, got -1"),
+        ("abc", None, "FEDCYCLE_SEED: expected int, got 'abc'"),
+        (None, "-2", "--seed-override: must be >= 0, got -2"),
+    ], ids=["env-negative", "env-not-int", "flag-negative"])
+    def test_bad_seed_override_refused_before_any_work(self, config_path, tmp_path, capsys,
+                                                       monkeypatch, env, flag, message):
+        if env is not None:
+            monkeypatch.setenv("FEDCYCLE_SEED", env)
+        outdir = tmp_path / "out"
+        argv = ["run", str(config_path), "--output-dir", str(outdir)]
+        assert main(argv + (["--seed-override", flag] if flag else [])) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not outdir.exists()
+
     def test_deterministic_metrics_bytes(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["run", str(config_path), "--output-dir", str(out1)])

@@ -212,6 +212,9 @@ INVALID_AT_LOAD = [
     ("seeds: [1, 2]", "seeds: [-1]", "seeds[0]"),
     ("seeds: [1, 2]", "seeds: [0, 0]", "seeds"),
     ("max_decays: 2", "max_decays: 26", "schedule.max_decays"),
+    ("learning_rate: 0.001", "learning_rate: 0.001\n  beta1: 1.0", "optimizer.beta1"),
+    ("learning_rate: 0.001", "learning_rate: 0.001\n  beta2: -0.5", "optimizer.beta2"),
+    ("learning_rate: 0.001", "learning_rate: 0.001\n  epsilon: 0.0", "optimizer.epsilon"),
 ]
 
 

@@ -228,7 +228,7 @@ class TestOptStep:
         opt_step(m, self.grad_of_one(m), cfg, 0.1)
         # v2 = 0.9*(-0.1) - 0.1 = -0.19; w = -0.1 - 0.19
         assert m.params[0]["W"][0, 0] == pytest.approx(-0.29)
-        assert m.layout.views(m.opt_state["flat"]["v"])[0]["W"][0, 0] == pytest.approx(-0.19)
+        assert m.layout.views(m.opt_state.flat["v"])[0]["W"][0, 0] == pytest.approx(-0.19)
 
     def test_zero_momentum_equals_vanilla_sgd(self):
         rng = np.random.default_rng(5)
@@ -308,7 +308,7 @@ class TestFlatStore:
             lr = 0.05 if t <= 30 else 0.0125
             opt_step(m, g, cfg, lr)
             reference_step(params, slots, m.layout.views(g), cfg, lr, t)
-        role_views = {role: m.layout.views(m.opt_state["flat"][role]) for role in roles}
+        role_views = {role: m.layout.views(m.opt_state.flat[role]) for role in roles}
         for i, name, w in m.param_items():
             assert np.array_equal(w, params[i][name])
             for role in roles:
@@ -317,7 +317,7 @@ class TestFlatStore:
     @pytest.mark.parametrize("kind", ["sgd-momentum", "adam"])
     def test_params_and_slots_are_views_of_flat_vectors(self, kind):
         m = init_model(self.SPECS, OptimizerConfig(kind, 0.1), np.random.default_rng(0))
-        flat = m.opt_state["flat"]
+        flat = m.opt_state.flat
         assert m.theta.size == sum(w.size for _, _, w in m.param_items())
         assert np.array_equal(np.concatenate([w.ravel() for _, _, w in m.param_items()]),
                               m.theta)
@@ -328,6 +328,20 @@ class TestFlatStore:
                 assert views[i][name].shape == w.shape
                 assert np.shares_memory(views[i][name], flat[role])
                 assert flat[role].size == m.theta.size
+
+    def test_running_stats_are_views_updated_in_place(self):
+        m = init_model(self.SPECS, OptimizerConfig("adam", 0.1), np.random.default_rng(0))
+        assert m.running.size == 12
+        assert np.array_equal(m.stats[1]["mean"], np.zeros((1, 6)))
+        assert np.array_equal(m.stats[1]["var"], np.ones((1, 6)))
+        x = np.random.default_rng(1).normal(size=(16, 3))
+        before = m.running.copy()
+        forward(m, x, pure=True)  # no generator: a pure pass draws no dropout mask
+        assert np.array_equal(m.running, before)
+        forward(m, x, np.random.default_rng(2))
+        assert not np.array_equal(m.running, before)
+        for stat in m.stats[1].values():
+            assert np.shares_memory(stat, m.running)
 
     def test_non_finite_update_names_the_tensor(self):
         m = init_model(self.SPECS, OptimizerConfig("sgd-momentum", 0.1),
@@ -341,7 +355,7 @@ class TestFlatStore:
         m = init_model(self.SPECS, OptimizerConfig("adam", 0.1), np.random.default_rng(0))
         with pytest.raises(ValueError, match="gradient shape"):
             opt_step(m, np.zeros(m.theta.size - 1), OptimizerConfig("adam", 0.1), 0.1)
-        assert m.opt_state["step"] == 0
+        assert m.opt_state.step == 0
 
 
 class TestWorkspace:
@@ -358,10 +372,10 @@ class TestWorkspace:
         grads = []
         for seed in (1, 2):
             x, y = self.batch(seed)
-            fp = forward(m, x, np.random.default_rng(seed), ws=ws, update_running=False)
+            fp = forward(m, x, np.random.default_rng(seed), ws=ws)
             assert fp.probs is ws.out[-1]
             grads.append(backward(m, fp, y, 0.01))
-            fresh = forward(m, x, np.random.default_rng(seed), update_running=False)
+            fresh = forward(m, x, np.random.default_rng(seed))
             assert fresh.ws is not ws
             expected = backward(m, fresh, y, 0.01)
             assert np.array_equal(grads[-1], expected)
@@ -429,11 +443,9 @@ def _state_digest(m):
     """sha256 of theta, the batch-norm running statistics and the optimizer
     role vectors, in that order."""
     h = hashlib.sha256(m.theta.tobytes())
-    for i in m.layout.batchnorm:
-        h.update(m.bn_running[i]["mean"].tobytes())
-        h.update(m.bn_running[i]["var"].tobytes())
-    for role in OPT_ROLES[m.opt_state["kind"]]:
-        h.update(m.opt_state["flat"][role].tobytes())
+    h.update(m.running.tobytes())
+    for role in OPT_ROLES[m.opt_state.kind]:
+        h.update(m.opt_state.flat[role].tobytes())
     return h.hexdigest()
 
 
@@ -469,7 +481,7 @@ def test_training_digest(name):
     m, epoch = _trainer(name, seed=3)
     for _ in range(3):
         epoch()
-    assert m.opt_state["step"] == (0 if m.opt_state["kind"] == "sgd-momentum" else 15)
+    assert m.opt_state.step == (0 if m.opt_state.kind == "sgd-momentum" else 15)
     assert _state_digest(m) == TRAINING_SHA256[name]
 
 

@@ -32,18 +32,16 @@ def models_equal(a: ModelState, b: ModelState) -> bool:
     for (i, n, wa), (_, _, wb) in zip(a.param_items(), b.param_items()):
         if not np.array_equal(wa, wb):
             return False
-    for ra, rb in zip(a.bn_running, b.bn_running):
-        for key in ra:
-            if not np.array_equal(ra[key], rb[key]):
-                return False
-    if a.opt_state["kind"] != b.opt_state["kind"]:
+    if not np.array_equal(a.running, b.running):
         return False
-    if a.opt_state["step"] != b.opt_state["step"]:
+    if a.opt_state.kind != b.opt_state.kind:
         return False
-    if a.opt_state["flat"].keys() != b.opt_state["flat"].keys():
+    if a.opt_state.step != b.opt_state.step:
         return False
-    for role, vec in a.opt_state["flat"].items():
-        for va, vb in zip(a.layout.views(vec), b.layout.views(b.opt_state["flat"][role])):
+    if a.opt_state.flat.keys() != b.opt_state.flat.keys():
+        return False
+    for role, vec in a.opt_state.flat.items():
+        for va, vb in zip(a.layout.views(vec), b.layout.views(b.opt_state.flat[role])):
             for name in va:
                 if not np.array_equal(va[name], vb[name]):
                     return False
@@ -139,7 +137,7 @@ class TestDeserializeStructure:
 
     def test_views_after_deserialize(self):
         back, _ = deserialize(serialize(make_model()), SPECS)
-        flat = back.opt_state["flat"]
+        flat = back.opt_state.flat
         role_views = {role: back.layout.views(vec) for role, vec in flat.items()}
         assert set(role_views) == {"m", "v"}
         for i, name, w in back.param_items():
@@ -147,6 +145,10 @@ class TestDeserializeStructure:
             for role, views in role_views.items():
                 assert views[i][name].shape == w.shape
                 assert np.shares_memory(views[i][name], flat[role])
+        assert [sorted(run) for run in back.stats] == [[], ["mean", "var"], [], [], []]
+        for run in back.stats:
+            for stat in run.values():
+                assert stat.shape == (1, 4) and np.shares_memory(stat, back.running)
 
     def test_wrong_tensor_shape(self):
         header, tensors = self.tensors()
@@ -248,13 +250,13 @@ def golden_model(name):
     specs, kind = GOLDEN_MODELS[name]
     m = init_model(specs, OptimizerConfig(kind, 1e-3), np.random.default_rng(5))
     rng = np.random.default_rng(6)
-    for vec in m.opt_state["flat"].values():
+    for vec in m.opt_state.flat.values():
         vec[...] = rng.uniform(-1.0, 1.0, vec.size)
-    for run in m.bn_running:
+    for run in m.stats:
         for key, (lo, hi) in zip(("mean", "var"), ((-1.0, 1.0), (0.5, 2.0))):
             if key in run:
                 run[key][...] = rng.uniform(lo, hi, run[key].shape)
-    m.opt_state["step"] = 7
+    m.opt_state.step = 7
     return m
 
 
@@ -322,11 +324,10 @@ class TestCachedPlans:
         plan = transport._wire_plan(layout_of(SPECS), "adam")
 
         def arrays(model):
-            return [model.theta, *model.opt_state["flat"].values(),
-                    *(a for run in model.bn_running for a in run.values())]
+            return [model.theta, model.running, *model.opt_state.flat.values()]
         a, _ = deserialize(data, SPECS)
         b, _ = deserialize(data, SPECS)
-        assert len(arrays(a)) == 5
+        assert len(arrays(a)) == 4
         others = [np.frombuffer(data, np.uint8), plan.template, *plan.index, *arrays(b)]
         for x in arrays(a):
             assert x.flags.writeable
