@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -125,3 +126,61 @@ class TestSplitPlanValidation:
         base.update(kw)
         with pytest.raises(ValueError):
             SplitPlan(**base)
+
+
+def interleaved_dataset():
+    """Patient ids out of order and interleaved, 1-3 samples each, with
+    mixed and tied labels, as load_csv can give."""
+    rng = np.random.default_rng(5)
+    names = [f"p{n}" for n in rng.permutation(40)] + [f"b{n}" for n in range(8)]
+    pids, labels = [], []
+    for i, name in enumerate(names):
+        base = i % 2
+        for _ in range(int(rng.integers(1, 4))):
+            pids.append(name)
+            labels.append(base if rng.random() < 0.7 else 1 - base)
+    order = rng.permutation(len(pids))
+    return Dataset(np.array(pids)[order], rng.normal(size=(len(pids), 3)),
+                   np.array(labels, dtype=np.int64)[order], 2)
+
+
+def split_digest(ds, plan):
+    split = stratified_split(ds, plan)
+    h = hashlib.sha256(json.dumps(split_manifest(split)).encode())
+    for _, cohort in split.cohorts():
+        h.update("\n".join(cohort.patient_ids.tolist()).encode())
+        h.update(np.ascontiguousarray(cohort.labels, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(cohort.features, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# Which patient lands in which cohort, and each cohort's sample order, as
+# sha256 digests: a change to the split's draws would change every metric.
+@pytest.mark.parametrize("make, plan, digest", [
+    # configs/ordering.yaml: 3,200 patients, k=4
+    (lambda: gen_synthetic("rings", n_patients=3200, samples_per_patient=2,
+                           num_classes=2, noise_rate=0.1, feature_dim=32,
+                           rng=np.random.default_rng([1, 2]),
+                           patient_spread=0.25, sample_jitter=0.2),
+     SplitPlan(k=4, patients_per_institution=400, patients_validation=400,
+               patients_test=400, seed=1),
+     "bec33b7c21a4d3ffe211f2f3f6f16af24526e459a5a7945051dc7fc7dd689816"),
+    # configs/quick_demo.yaml: 240 patients, k=2
+    (lambda: gen_synthetic("blobs", n_patients=240, samples_per_patient=2,
+                           num_classes=2, noise_rate=0.05, feature_dim=4,
+                           rng=np.random.default_rng([0, 2])),
+     SplitPlan(k=2, patients_per_institution=40, patients_validation=40,
+               patients_test=40, seed=0),
+     "f0f6e8cefb8c8a43aa2a53e5556171e5d75f4cc97760156edf4ac3ae82c91b5f"),
+    # 3 classes, 3 samples per patient, 20% label noise: mixed and tied patients
+    (lambda: make_dataset(seed=3, n_patients=150, num_classes=3, spp=3, noise=0.2),
+     SplitPlan(k=3, patients_per_institution=10, patients_validation=8,
+               patients_test=8, seed=11),
+     "e4b511d6c29fa7e36cf91cf97158077949d227904b90454241539994aa9d305e"),
+    (interleaved_dataset,
+     SplitPlan(k=2, patients_per_institution=6, patients_validation=5,
+               patients_test=5, seed=2),
+     "94be81661f236a4a6e03ef09876a87858e56326fa956f9112796f597fcddf9c0"),
+], ids=["ordering", "quick_demo", "three_class_noisy", "interleaved"])
+def test_split_digest(make, plan, digest):
+    assert split_digest(make(), plan) == digest
