@@ -45,19 +45,17 @@ class Split:
 
 
 def _patient_table(dataset: Dataset):
-    """First-appearance-ordered patients with index lists and majority label."""
-    order, index_lists = [], {}
-    for i, pid in enumerate(dataset.patient_ids):
-        if pid not in index_lists:
-            index_lists[pid] = []
-            order.append(pid)
-        index_lists[pid].append(i)
-    labels = {}
-    for pid in order:
-        counts = np.bincount(dataset.labels[index_lists[pid]],
-                             minlength=dataset.num_classes)
-        labels[pid] = int(np.argmax(counts))  # argmax ties -> lowest class
-    return order, index_lists, labels
+    """Each sample's patient rank, patients ranked by first appearance, and
+    each patient's majority label, ties going to the lowest class."""
+    _, first, inverse = np.unique(dataset.patient_ids, return_index=True,
+                                  return_inverse=True)
+    rank_of = np.empty(len(first), dtype=np.intp)
+    rank_of[np.argsort(first)] = np.arange(len(first))
+    rank = rank_of[inverse]
+    num_classes = dataset.num_classes
+    counts = np.bincount(rank * num_classes + dataset.labels,
+                         minlength=len(first) * num_classes)
+    return rank, counts.reshape(len(first), num_classes).argmax(axis=1)
 
 
 def _cohort_class_counts(n_patients: int, num_classes: int, cursor: int):
@@ -76,9 +74,9 @@ def stratified_split(dataset: Dataset, plan: SplitPlan) -> Split:
     A patient's stratification label is the majority class of its samples,
     ties going to the lowest class index.
     """
-    order, index_lists, plabels = _patient_table(dataset)
+    rank, plabels = _patient_table(dataset)
     num_classes = dataset.num_classes
-    per_class = [[pid for pid in order if plabels[pid] == c] for c in range(num_classes)]
+    per_class = [np.flatnonzero(plabels == c) for c in range(num_classes)]
 
     rng = np.random.default_rng(plan.seed)
     for pool_ in per_class:
@@ -101,15 +99,15 @@ def stratified_split(dataset: Dataset, plan: SplitPlan) -> Split:
             for c, d in sorted(short.items()))
         raise CapacityError(f"not enough patients per class: {detail}")
 
+    owner = np.full(len(plabels), -1)  # each patient's cohort
     taken = [0] * num_classes
-    cohorts = []
-    for counts in allocations:
-        chosen = []
+    for j, counts in enumerate(allocations):
         for c in range(num_classes):
-            chosen.extend(per_class[c][taken[c]:taken[c] + counts[c]])
+            owner[per_class[c][taken[c]:taken[c] + counts[c]]] = j
             taken[c] += counts[c]
-        idx = np.array(sorted(i for pid in chosen for i in index_lists[pid]), dtype=np.intp)
-        cohorts.append(dataset.subset(idx))
+    sample_owner = owner[rank]
+    cohorts = [dataset.subset(np.flatnonzero(sample_owner == j))
+               for j in range(len(allocations))]
 
     return Split(institutions=cohorts[:plan.k], validation=cohorts[plan.k],
                  test=cohorts[plan.k + 1])
