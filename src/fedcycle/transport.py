@@ -19,15 +19,17 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import socket
 import struct
-import threading
 import zlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .nn import OPT_ROLES, Layout, ModelState, OptState, layout_of
+
+if TYPE_CHECKING:
+    import socket
 
 MAGIC = b"FWT1"
 FORMAT_VERSION = 1
@@ -316,6 +318,8 @@ class MemoryChannel:
 def _no_delay(sock: socket.socket) -> socket.socket:
     """Send each write at once. Otherwise Nagle's algorithm holds the 1-byte
     ACK after a frame until the peer's delayed ACK, about 40 ms per hand-off."""
+    import socket
+
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
 
@@ -328,6 +332,10 @@ class SocketChannel:
     """
 
     def __init__(self):
+        # Imported here so that a run over MemoryChannel never loads socket code.
+        import socket
+        import threading
+
         self.log = []
         self._server = socket.create_server(("127.0.0.1", 0))
         port = self._server.getsockname()[1]

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +140,19 @@ class TestRun:
         main(["run", str(config_path), "--output-dir", str(out2)])
         assert (out1 / "metrics_seed1.csv").read_bytes() == \
             (out2 / "metrics_seed1.csv").read_bytes()
+
+    def test_memory_run_loads_no_socket_code(self, config_path, tmp_path):
+        # a fresh interpreter: the test process has socket loaded already
+        code = ("import sys; from fedcycle.cli import main; "
+                f"assert main(['run', {str(config_path)!r}, '--output-dir', "
+                f"{str(tmp_path / 'out')!r}]) == 0; "
+                "print(sorted({'socket', 'select', 'selectors'} & set(sys.modules)))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "[]"
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = patch_config(tmp_path, **{"kind: central": "kind: gossip"})
