@@ -239,7 +239,10 @@ def deserialize(data: bytes, specs) -> tuple[ModelState, PacketMeta]:
     if not np.isfinite(words).all():
         raise CorruptionError("non-finite value in payload")
     if kind is not None:
-        model.opt_state.step = int(words[plan.step_word])
+        step = float(words[plan.step_word])
+        if not (0 <= step <= 2 ** 53 and step.is_integer()):
+            raise FormatError(f"optimizer step count {step!r} is not an integer in 0..2**53")
+        model.opt_state.step = int(step)
     return model, meta
 
 

@@ -180,6 +180,20 @@ class TestDeserializeStructure:
         with pytest.raises(CorruptionError, match="non-finite"):
             deserialize(join_packet(header, tensors), SPECS)
 
+    @pytest.mark.parametrize("step", [-1.0, 2.5, 1e300, 2.0 ** 53 + 2])
+    def test_bad_step_count(self, step):
+        header, tensors = self.tensors()
+        tensors[self.N_PARAMS + 2][0, 0] = step
+        with pytest.raises(FormatError, match="step count"):
+            deserialize(join_packet(header, tensors), SPECS)
+
+    @pytest.mark.parametrize("step", [0, 1, 2 ** 53])
+    def test_step_count_bounds_kept(self, step):
+        m = make_model()
+        m.opt_state.step = step
+        back, _ = deserialize(serialize(m), SPECS)
+        assert back.opt_state.step == step and type(back.opt_state.step) is int
+
 
 class TestDeserializeErrors:
     def test_bad_magic(self):
