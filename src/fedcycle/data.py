@@ -154,7 +154,7 @@ def normalize(cohort: Dataset, stats: NormStats | None = None):
 
 def augment(batch: Batch, sigma: float, rng: np.random.Generator) -> Batch:
     """Additive per-feature Gaussian jitter; labels untouched."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return batch

@@ -42,7 +42,7 @@ class ExperimentConfig:
             raise ValueError("batch_size must be >= 1")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.augment_sigma < 0:
+        if not self.augment_sigma >= 0:  # a NaN fails it too
             raise ValueError("augment_sigma must be >= 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")

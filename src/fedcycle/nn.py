@@ -91,14 +91,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in ("sgd-momentum", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # a NaN fails it too
             raise ValueError("learning_rate must be > 0")
         for name in ("momentum", "beta1", "beta2"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must be in [0, 1)")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.l2_coeff < 0:
+        if not self.l2_coeff >= 0:
             raise ValueError("l2_coeff must be >= 0")
 
 
@@ -499,7 +499,7 @@ def opt_step(model: ModelState, g: np.ndarray, cfg: OptimizerConfig,
     bias-corrected update. Each runs on the whole parameter vector at once,
     with the same per-element operation order as a per-tensor update.
     """
-    if lr <= 0:
+    if not lr > 0:
         raise ValueError("learning rate must be > 0")
     opt = model.opt_state
     if cfg.kind != opt.kind:

@@ -56,7 +56,7 @@ class PlateauState:
 
     @classmethod
     def fresh(cls, lr0: float) -> "PlateauState":
-        if lr0 <= 0:
+        if not lr0 > 0:
             raise ValueError("initial learning rate must be > 0")
         return cls(best_loss=math.inf, epochs_since_improve=0,
                    decays_used=0, current_lr=lr0)
@@ -108,6 +108,6 @@ class ExpDecayPolicy:
 def exp_decay_lr(epoch: int, lr0: float, policy: ExpDecayPolicy) -> float:
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    if lr0 <= 0:
+    if not lr0 > 0:
         raise ValueError("lr0 must be > 0")
     return lr0 * policy.decay_per_period ** (epoch // policy.period)

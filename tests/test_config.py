@@ -215,6 +215,11 @@ INVALID_AT_LOAD = [
     ("learning_rate: 0.001", "learning_rate: 0.001\n  beta1: 1.0", "optimizer.beta1"),
     ("learning_rate: 0.001", "learning_rate: 0.001\n  beta2: -0.5", "optimizer.beta2"),
     ("learning_rate: 0.001", "learning_rate: 0.001\n  epsilon: 0.0", "optimizer.epsilon"),
+    # NaN compares false both ways, so each lower bound must reject it
+    ("learning_rate: 0.001", "learning_rate: .nan", "optimizer.learning_rate"),
+    ("learning_rate: 0.001", "learning_rate: 0.001\n  l2: .nan", "optimizer.l2"),
+    ("learning_rate: 0.001", "learning_rate: 0.001\n  epsilon: .nan", "optimizer.epsilon"),
+    ("augment_sigma: 0.1", "augment_sigma: .nan", "training.augment_sigma"),
 ]
 
 
