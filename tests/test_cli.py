@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -297,3 +298,39 @@ class TestInspect:
         path = tmp_path / "bad.fwt"
         write_packet(path, bytes(data))
         assert main(["inspect", str(path)]) == 1
+
+
+def _run_digests(tmp_path, kind, transport):
+    """sha256 of the files one seed-0 run of configs/quick_demo.yaml writes."""
+    text = (Path(__file__).resolve().parents[1] / "configs" / "quick_demo.yaml").read_text()
+    assert text.count("kind: cyclical") == 1
+    path = tmp_path / "demo.yaml"
+    path.write_text(text.replace("kind: cyclical", f"kind: {kind}"))
+    outdir = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(outdir),
+                 "--transport", transport]) == 0
+    return [hashlib.sha256((outdir / name).read_bytes()).hexdigest()[:16]
+            for name in ("metrics_seed0.csv", "summary_seed0.json", "aggregate.json",
+                         "split_manifest.json")]
+
+
+# The first 16 hex digits of the sha256 of metrics_seed0.csv,
+# summary_seed0.json, aggregate.json and split_manifest.json: a refactor
+# must leave every byte a run writes as it was. Single transfer never
+# plateaus at institution 0 within the demo's 500 epochs, so it writes what
+# single writes.
+DEMO_MANIFEST = "f36892503a58297a"
+SINGLE = ["cc3d09fa18924278", "ac77cb12ad34fafa", "cb1b7518147cb699"]
+CYCLICAL = ["af2b051bee5d9613", "380ee8dff114317a", "585f9003ebec50b4"]
+
+
+@pytest.mark.parametrize("kind, transport, digests", [
+    ("single", "memory", SINGLE),
+    ("central", "memory", ["36ad44b8bae55279", "4cab50692542cd90", "a40d780b90f9b249"]),
+    ("ensemble", "memory", ["2b0d70b675a6d736", "7edc86e6207346e1", "a40d780b90f9b249"]),
+    ("single_transfer", "memory", SINGLE),
+    ("cyclical", "memory", CYCLICAL),
+    ("cyclical", "socket", CYCLICAL),
+])
+def test_run_digest(tmp_path, kind, transport, digests):
+    assert _run_digests(tmp_path, kind, transport) == digests + [DEMO_MANIFEST]
