@@ -2,13 +2,13 @@
 patient-siloed institutions (single, central, ensemble, single weight
 transfer, cyclical weight transfer)."""
 
-from .data import Dataset, NormStats, augment, export_csv, gen_synthetic, load_csv, normalize
+from .data import Dataset, augment, export_csv, gen_synthetic, load_csv, normalize
 from .heuristics import (ExperimentConfig, MetricsRow, RunResult, evaluate,
                          mlp_specs, run_central, run_cyclical_weight_transfer,
                          run_ensemble, run_scaling_sweep,
                          run_single_institution, run_single_weight_transfer,
                          train_on)
-from .nn import (Batch, LayerSpec, ModelState, OptimizerConfig, backward,
+from .nn import (LayerSpec, ModelState, OptimizerConfig, backward,
                  forward, glorot_init, grad_check, init_model, loss, opt_step)
 from .partition import Split, SplitPlan, pool, split_manifest, stratified_split
 from .schedule import (ExpDecayPolicy, PlateauPolicy, PlateauState,

@@ -14,7 +14,7 @@ from . import transport
 from .config import ConfigError, build_experiment, load_plan, seed_value
 from .heuristics import run_heuristic, run_scaling_sweep
 from .nn import gradcheck_suite
-from .partition import CapacityError, stratified_split, write_manifest
+from .partition import CapacityError, split_manifest, stratified_split
 
 METRICS_COLUMNS = ["global_epoch", "phase", "institution", "learning_rate",
                    "train_acc", "val_acc", "val_loss"]
@@ -61,17 +61,15 @@ def _summary_dict(seed, result) -> dict:
     }
 
 
+def _mean_std(vals, prefix: str = "") -> dict:
+    return {prefix + "mean": statistics.fmean(vals),
+            prefix + "std": statistics.pstdev(vals) if len(vals) > 1 else 0.0}
+
+
 def _aggregate(summaries) -> dict:
-    def stats(key):
-        vals = [s[key] for s in summaries]
-        return {"mean": statistics.fmean(vals),
-                "std": statistics.pstdev(vals) if len(vals) > 1 else 0.0}
-    return {
-        "seeds": [s["seed"] for s in summaries],
-        "train_accuracy": stats("train_accuracy"),
-        "validation_accuracy": stats("validation_accuracy"),
-        "test_accuracy": stats("test_accuracy"),
-    }
+    return {"seeds": [s["seed"] for s in summaries],
+            **{key: _mean_std([s[key] for s in summaries])
+               for key in ("train_accuracy", "validation_accuracy", "test_accuracy")}}
 
 
 def _write_json(path, payload) -> None:
@@ -80,41 +78,46 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _prepare(args, *, sweep: bool):
+def _prepare(args):
+    """Load the plan and apply the command line to it, then build the dataset
+    and the split, and make the output directory with split_manifest.json in
+    it. Every check of the plan and the command line comes first."""
     plan = load_plan(args.config)
-    if plan.heuristic.kind == "sweep" and not sweep:
+    kind = plan.heuristic.kind
+    if args.command == "run" and kind == "sweep":
         raise ConfigError("use the `sweep` subcommand for sweep configs")
-    if plan.heuristic.kind != "sweep" and sweep:
+    if args.command == "sweep" and kind != "sweep":
         raise ConfigError(f"heuristic.kind: the `sweep` subcommand needs kind: sweep, got "
-                          f"{plan.heuristic.kind!r}; use the `run` subcommand")
+                          f"{kind!r}; use the `run` subcommand")
     if args.output_dir:
         plan = replace(plan, output_dir=args.output_dir)
-    seeds = plan.seeds
-    override = _env_seed()
-    if args.seed_override is not None:
-        override = seed_value(args.seed_override, "--seed-override")
-    if override is not None:
-        seeds = (override,)
-    heuristic = plan.heuristic
-    if args.freq is not None:
-        try:
-            heuristic = replace(heuristic, frequency=args.freq)
-        except ValueError as exc:
-            raise ConfigError(f"--freq: {exc}") from exc
+    if args.command != "partition":
+        override = _env_seed()
+        if args.seed_override is not None:
+            override = seed_value(args.seed_override, "--seed-override")
+        if override is not None:
+            plan = replace(plan, seeds=(override,))
+        if args.freq is not None:
+            try:
+                plan = replace(plan, heuristic=replace(plan.heuristic, frequency=args.freq))
+            except ValueError as exc:
+                raise ConfigError(f"--freq: {exc}") from exc
+        if args.transport:
+            plan = replace(plan, base_config=replace(plan.base_config,
+                                                     transport=args.transport))
     dataset, base_cfg = build_experiment(plan)
-    if args.transport:
-        base_cfg = replace(base_cfg, transport=args.transport)
     split = stratified_split(dataset, plan.split_plan)
     outdir = Path(plan.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    return plan, heuristic, dataset, base_cfg, split, seeds, outdir
+    _write_json(outdir / "split_manifest.json", split_manifest(split))
+    return plan, base_cfg, split, outdir
 
 
 def cmd_run(args) -> int:
-    plan, heuristic, _, base_cfg, split, seeds, outdir = _prepare(args, sweep=False)
-    write_manifest(split, outdir / "split_manifest.json")
+    plan, base_cfg, split, outdir = _prepare(args)
+    heuristic = plan.heuristic
     summaries = []
-    for seed in seeds:
+    for seed in plan.seeds:
         cfg = replace(base_cfg, seed=seed)
         try:
             result = run_heuristic(cfg, split, heuristic.kind,
@@ -132,29 +135,26 @@ def cmd_run(args) -> int:
               f"val {result.validation_accuracy:.4f} test {result.test_accuracy:.4f}")
     agg = _aggregate(summaries)
     _write_json(outdir / "aggregate.json", agg)
-    print(f"test accuracy over {len(seeds)} seed(s): "
+    print(f"test accuracy over {len(plan.seeds)} seed(s): "
           f"{agg['test_accuracy']['mean']:.4f} +/- {agg['test_accuracy']['std']:.4f}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    plan, heuristic, _, base_cfg, split, seeds, outdir = _prepare(args, sweep=True)
-    m_values = heuristic.m_values  # required for kind: sweep
-    write_manifest(split, outdir / "split_manifest.json")
+    plan, base_cfg, split, outdir = _prepare(args)
+    heuristic, seeds = plan.heuristic, plan.seeds
     per_seed = {}
     for seed in seeds:
         cfg = replace(base_cfg, seed=seed)
         try:
-            rows = run_scaling_sweep(cfg, split, m_values, freq=heuristic.frequency)
+            rows = run_scaling_sweep(cfg, split, heuristic.m_values, freq=heuristic.frequency)
         except Exception as exc:
             print(f"error: sweep failed at seed {seed}: {exc}", file=sys.stderr)
             return 1
-        per_seed[seed] = {m: acc for m, acc in rows}
+        per_seed[seed] = dict(rows)
     table = []
-    for m in m_values:
-        vals = [per_seed[s][m] for s in seeds]
-        table.append({"m": m, "test_accuracy_mean": statistics.fmean(vals),
-                      "test_accuracy_std": statistics.pstdev(vals) if len(vals) > 1 else 0.0})
+    for m in heuristic.m_values:
+        table.append({"m": m, **_mean_std([per_seed[s][m] for s in seeds], "test_accuracy_")})
         print(f"m={m}: {table[-1]['test_accuracy_mean']:.4f} "
               f"+/- {table[-1]['test_accuracy_std']:.4f}")
     _write_json(outdir / "sweep.json",
@@ -172,21 +172,13 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    plan = load_plan(args.config)
-    if args.output_dir:
-        plan = replace(plan, output_dir=args.output_dir)
-    dataset, _ = build_experiment(plan)
-    split = stratified_split(dataset, plan.split_plan)
-    outdir = Path(plan.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "split_manifest.json"
-    write_manifest(split, path)
-    print(f"wrote {path}")
+    outdir = _prepare(args)[-1]
+    print(f"wrote {outdir / 'split_manifest.json'}")
     return 0
 
 
 def cmd_inspect(args) -> int:
-    data = transport.read_packet(args.packet)
+    data = Path(args.packet).read_bytes()
     meta = transport.read_meta(data)
     print(f"format_version: {meta.format_version}")
     print(f"arch_hash: {meta.arch_hash:#018x}")

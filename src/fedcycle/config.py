@@ -6,6 +6,7 @@ feeds, which names the section's keys and gives their types and defaults.
 from __future__ import annotations
 
 import inspect
+import sys
 from dataclasses import dataclass, replace
 from typing import Literal, get_args, get_origin
 
@@ -56,8 +57,9 @@ class ExperimentPlan:
 
 
 def _check(value, ann, where: str):
-    """``value`` as the annotated type: an int passes as a float, and a bool
-    only as a bool. Raises ConfigError naming ``where`` otherwise."""
+    """``value`` as the annotated type: an int passes as a float, a float
+    only if finite, and a bool only as a bool. Raises ConfigError naming
+    ``where`` otherwise."""
     origin = get_origin(ann)
     if origin in (list, tuple):
         if isinstance(value, list):
@@ -68,8 +70,10 @@ def _check(value, ann, where: str):
         if value in get_args(ann):
             return value
         ann = " or ".join(map(repr, get_args(ann)))
-    elif ann is float and type(value) is int:
-        return float(value)
+    elif ann is float and type(value) in (int, float):
+        if abs(value) <= sys.float_info.max:  # not NaN, ±inf or an int beyond float
+            return float(value)
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
     elif isinstance(value, ann) and (ann is bool or not isinstance(value, bool)):
         return value
     raise ConfigError(f"{where}: expected {getattr(ann, '__name__', ann)}, got {value!r}")
@@ -165,7 +169,7 @@ def load_plan(path) -> ExperimentPlan:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int over 4300 digits
             raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")

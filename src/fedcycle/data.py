@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Batch
-
 
 class DegenerateFeatureError(ValueError):
     pass
@@ -59,12 +57,6 @@ def concat(datasets) -> Dataset:
         np.concatenate([d.labels for d in datasets]),
         num_classes,
     )
-
-
-@dataclass(frozen=True)
-class NormStats:
-    mean: np.ndarray  # (d,)
-    std: np.ndarray   # (d,)
 
 
 def gen_synthetic(kind: str, n_patients: int, samples_per_patient: int = 2,
@@ -133,33 +125,26 @@ def gen_synthetic(kind: str, n_patients: int, samples_per_patient: int = 2,
     return Dataset(patient_ids, features, labels.astype(np.int64), num_classes)
 
 
-def normalize(cohort: Dataset, stats: NormStats | None = None):
-    """Zero-mean unit-std features; population std (divide by n).
-
-    Without ``stats`` the cohort is normalized by its own statistics,
-    which are returned for reuse.
-    """
-    if stats is None:
-        mean = cohort.features.mean(axis=0)
-        std = cohort.features.std(axis=0)
-        dead = np.nonzero(std <= 0.0)[0]
-        if dead.size:
-            raise DegenerateFeatureError(
-                f"zero-variance feature(s): {', '.join(f'f{i}' for i in dead)}")
-        stats = NormStats(mean=mean, std=std)
-    scaled = (cohort.features - stats.mean) / stats.std
-    out = Dataset(cohort.patient_ids, scaled, cohort.labels, cohort.num_classes)
-    return out, stats
+def normalize(cohort: Dataset) -> Dataset:
+    """The cohort scaled to zero-mean unit-std features by its own
+    statistics; population std (divide by n)."""
+    mean = cohort.features.mean(axis=0)
+    std = cohort.features.std(axis=0)
+    dead = np.nonzero(std <= 0.0)[0]
+    if dead.size:
+        raise DegenerateFeatureError(
+            f"zero-variance feature(s): {', '.join(f'f{i}' for i in dead)}")
+    return Dataset(cohort.patient_ids, (cohort.features - mean) / std,
+                   cohort.labels, cohort.num_classes)
 
 
-def augment(batch: Batch, sigma: float, rng: np.random.Generator) -> Batch:
-    """Additive per-feature Gaussian jitter; labels untouched."""
+def augment(features: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Additive per-feature Gaussian jitter."""
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
-        return batch
-    noisy = batch.features + rng.normal(0.0, sigma, size=batch.features.shape)
-    return Batch(features=noisy, labels=batch.labels)
+        return features
+    return features + rng.normal(0.0, sigma, size=features.shape)
 
 
 def load_csv(path: str | os.PathLike) -> Dataset:

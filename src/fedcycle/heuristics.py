@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transport
-from .data import Batch, Dataset, augment, normalize
+from .data import Dataset, augment, normalize
 from .nn import (LayerSpec, ModelState, OptimizerConfig, OptState, backward,
                  forward, init_model, loss, opt_step, workspace)
 from .partition import Split, pool
@@ -126,25 +126,21 @@ def _train_rng(cfg: ExperimentConfig) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, 1])
 
 
-def train_on(model: ModelState, cohort: Dataset, epochs: int,
-             cfg: ExperimentConfig, lr: float, rng: np.random.Generator) -> int:
-    """Train `epochs` full passes in shuffled mini-batches; returns the
-    number of optimizer steps taken. Augmentation noise is redrawn every
-    epoch. The cohort is expected to be normalized already. Each step runs
-    in the shared workspace of the model's layout at its batch size."""
-    n = len(cohort)
-    steps = 0
-    for _ in range(epochs):
-        batch = augment(Batch(cohort.features, cohort.labels), cfg.augment_sigma, rng)
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            fp = forward(model, batch.features[idx], rng=rng,
-                         ws=workspace(model.layout, len(idx)))
-            g = backward(model, fp, batch.labels[idx], cfg.optimizer.l2_coeff)
-            opt_step(model, g, cfg.optimizer, lr)
-            steps += 1
-    return steps
+def train_on(model: ModelState, cohort: Dataset, cfg: ExperimentConfig, lr: float,
+             rng: np.random.Generator) -> int:
+    """Train one epoch, a full pass in shuffled mini-batches, with fresh
+    augmentation noise; returns the number of optimizer steps taken. The
+    cohort is expected to be normalized already. Each step runs in the
+    shared workspace of the model's layout at its batch size."""
+    features = augment(cohort.features, cfg.augment_sigma, rng)
+    perm = rng.permutation(len(cohort))
+    starts = range(0, len(perm), cfg.batch_size)
+    for start in starts:
+        idx = perm[start:start + cfg.batch_size]
+        fp = forward(model, features[idx], rng=rng, ws=workspace(model.layout, len(idx)))
+        g = backward(model, fp, cohort.labels[idx], cfg.optimizer.l2_coeff)
+        opt_step(model, g, cfg.optimizer, lr)
+    return len(starts)
 
 
 class _Recorder:
@@ -195,11 +191,11 @@ def _current_lr(cfg: ExperimentConfig, state: PlateauState, epoch_index: int) ->
 
 
 def _eval_cohorts(split: Split):
-    return normalize(split.validation)[0], normalize(split.test)[0]
+    return normalize(split.validation), normalize(split.test)
 
 
 def _normalized_cohorts(split: Split):
-    insts = [normalize(c)[0] for c in split.institutions]
+    insts = [normalize(c) for c in split.institutions]
     return (insts, *_eval_cohorts(split))
 
 
@@ -257,7 +253,7 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset,
                 epoch += 1
                 lr = _current_lr(cfg, state, epoch - 1)
                 phase = state.phase
-                steps += train_on(model, cohort, 1, cfg, lr, rng)
+                steps += train_on(model, cohort, cfg, lr, rng)
                 val_loss = rec.record(model, epoch, phase, institution, lr, cohort)
                 kind = observe(state, policy, val_loss).kind
                 if plateau_ends_visit and kind != CONTINUE:
@@ -274,12 +270,12 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset,
 def run_single_institution(cfg: ExperimentConfig, split: Split, index: int) -> RunResult:
     if not (0 <= index < len(split.institutions)):
         raise IndexError(f"institution index {index} out of range")
-    cohort = normalize(split.institutions[index])[0]
+    cohort = normalize(split.institutions[index])
     return _run_visits(cfg, [(index, cohort)], *_eval_cohorts(split))
 
 
 def run_central(cfg: ExperimentConfig, split: Split) -> RunResult:
-    pooled = normalize(pool(split))[0]
+    pooled = normalize(pool(split))
     val, test = _eval_cohorts(split)
     return _run_visits(cfg, [(None, pooled)], val, test)
 
@@ -302,7 +298,7 @@ def run_ensemble(cfg: ExperimentConfig, split: Split) -> RunResult:
 
     val_scores = score(val)
     test_scores = score(test, cfg.top_k)
-    train_scores = score(normalize(pool(split))[0])
+    train_scores = score(normalize(pool(split)))
     return RunResult(
         models=members,
         metrics=[row for res in runs for row in res.metrics],

@@ -93,25 +93,18 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if not self.learning_rate > 0:  # a NaN fails it too
             raise ValueError("learning_rate must be > 0")
-        for name in ("momentum", "beta1", "beta2"):
+        for name in ("momentum", "beta1"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must be in [0, 1)")
+        # At beta2 = 0 the second moment is the last squared gradient alone, so
+        # a weight whose gradient is exactly 0 (behind a dead relu unit) while
+        # its first moment is not steps by lr * mhat / epsilon.
+        if not (0.0 < self.beta2 < 1.0):
+            raise ValueError("beta2 must be in (0, 1)")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         if not self.l2_coeff >= 0:
             raise ValueError("l2_coeff must be >= 0")
-
-
-@dataclass(frozen=True)
-class Batch:
-    features: np.ndarray  # (n, d)
-    labels: np.ndarray    # (n,) int
-
-    def __post_init__(self):
-        if self.features.ndim != 2 or len(self.features) != len(self.labels):
-            raise ValueError("features must be (n, d) with matching labels")
-        if len(self.labels) < 1:
-            raise ValueError("batch must hold at least one sample")
 
 
 class ParamSlice(NamedTuple):
@@ -274,15 +267,13 @@ class Workspace:
 
     @functools.cached_property
     def back(self) -> tuple:
-        """Backward buffers: per-layer views of `grad`, a theta-sized vector
-        for the L2 term and its per-layer views, the head's output gradient,
-        and per layer the buffer of its input gradient (affine and heads
-        above layer 0; None elsewhere)."""
-        l2 = np.empty(self.layout.size)
+        """Backward buffers: per-layer views of `grad`, the head's output
+        gradient, and per layer the buffer of its input gradient (affine and
+        heads above layer 0; None elsewhere)."""
         dz = np.empty((self.rows, self.layout.specs[-1].out_dim))
         din = [np.empty((self.rows, s.in_dim)) if i and "W" in PARAM_ORDER[s.kind] else None
                for i, s in enumerate(self.layout.specs)]
-        return self.layout.views(self.grad), l2, self.layout.views(l2), dz, din
+        return self.layout.views(self.grad), dz, din
 
 
 @functools.lru_cache(maxsize=32)
@@ -325,11 +316,11 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
     caches = []
     for i, spec in enumerate(model.specs):
         p, out, aux = model.params[i], ws.out[i], ws.aux[i]
-        if spec.kind == "affine":
+        if "W" in p:  # affine layers and both heads
             caches.append((a,))
             np.dot(a, p["W"], out=out)
             out += p["b"]
-        elif spec.kind == "relu":
+        if spec.kind == "relu":
             caches.append((a,))
             if not train and a is not x:
                 # nothing reads an eval pass's caches, so the input buffer
@@ -372,25 +363,19 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
             # 1 / (1 + e) where z >= 0, else e / (1 + e), with e = exp(-|z|):
             # e <= 1 never overflows, and each branch is the stable form.
             z, (d, nonneg) = out, aux
-            np.dot(a, p["W"], out=z)
-            z += p["b"]
             np.greater_equal(z, 0.0, out=nonneg)
             e = np.exp(np.copysign(z, -1.0, out=z), out=z)
             np.add(1.0, e, out=d)
             np.copyto(e, 1.0, where=nonneg)
             e /= d
             np.minimum(np.maximum(e, PROB_CLAMP, out=e), 1.0 - PROB_CLAMP, out=e)
-            caches.append((a, e))
         elif spec.kind == "softmax-head":
             z, (col,) = out, aux
-            np.dot(a, p["W"], out=z)
-            z += p["b"]
             np.maximum.reduce(z, axis=1, keepdims=True, out=col)
             z -= col
             e = np.exp(z, out=z)
             np.add.reduce(e, axis=1, keepdims=True, out=col)
             e /= col
-            caches.append((a, e))
         a = out
     return ForwardPass(probs=a, caches=caches, train=train, ws=ws)
 
@@ -437,11 +422,7 @@ def backward(model: ModelState, fp: ForwardPass, labels: np.ndarray,
         raise RuntimeError("backward needs activations from a train-mode forward pass")
     labels = np.asarray(labels)
     n = len(labels)
-    grads, l2, l2_views, dz, din = fp.ws.back
-    # Without L2 the weight term is a zero, and adding a zero to np.dot's
-    # result changes no bit (its sums start from +0.0, so none is -0.0).
-    if l2_coeff:
-        np.multiply(l2_coeff, model.theta, out=l2)
+    grads, dz, din = fp.ws.back
     probs = fp.probs
     if model.specs[-1].kind == "sigmoid-head":
         np.subtract(probs, labels[:, None], out=dz)
@@ -453,10 +434,10 @@ def backward(model: ModelState, fp: ForwardPass, labels: np.ndarray,
     for i in range(len(model.specs) - 1, -1, -1):
         spec, p, g, cache = model.specs[i], model.params[i], grads[i], fp.caches[i]
         if "W" in p:
-            x = cache[0]
+            (x,) = cache
             np.dot(x.T, da, out=g["W"])
             if l2_coeff:
-                g["W"] += l2_views[i]["W"]
+                g["W"] += l2_coeff * p["W"]
             np.add.reduce(da, axis=0, keepdims=True, out=g["b"])
             if i:
                 da = np.dot(da, p["W"].T, out=din[i])
@@ -552,8 +533,8 @@ def has_flat_relu(model: ModelState, features: np.ndarray) -> bool:
     return False
 
 
-def grad_check(model: ModelState, batch: Batch, l2_coeff: float = 0.0,
-               h: float | tuple = 1e-5) -> float:
+def grad_check(model: ModelState, features: np.ndarray, labels: np.ndarray,
+               l2_coeff: float = 0.0, h: float | tuple = 1e-5) -> float:
     """Max relative error of backward() vs central finite differences.
 
     Runs with dropout forced to the identity and frozen batch-norm running
@@ -569,11 +550,11 @@ def grad_check(model: ModelState, batch: Batch, l2_coeff: float = 0.0,
         raise ValueError("finite-difference step must be > 0")
 
     def loss_at():
-        fp = forward(model, batch.features, pure=True)
-        return loss(fp.probs, batch.labels, model, l2_coeff)
+        fp = forward(model, features, pure=True)
+        return loss(fp.probs, labels, model, l2_coeff)
 
-    fp = forward(model, batch.features, pure=True)
-    grads = model.layout.views(backward(model, fp, batch.labels, l2_coeff))
+    fp = forward(model, features, pure=True)
+    grads = model.layout.views(backward(model, fp, labels, l2_coeff))
     worst = 0.0
     for i, name, w in model.param_items():
         g = grads[i][name]
@@ -633,6 +614,6 @@ def gradcheck_suite(n_seeds: int = 20, h=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3)) -> floa
                     break
             else:
                 raise RuntimeError("could not draw a non-degenerate model")
-            err = grad_check(model, Batch(features, labels), l2_coeff=l2, h=h)
+            err = grad_check(model, features, labels, l2_coeff=l2, h=h)
             worst = max(worst, err)
     return worst

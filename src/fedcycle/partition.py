@@ -1,7 +1,6 @@
 """Patient-level stratified partitioning into institutional silos."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,9 +122,3 @@ def split_manifest(split: Split) -> dict:
     for name, cohort in split.cohorts():
         manifest[name] = sorted(set(cohort.patient_ids.tolist()))
     return manifest
-
-
-def write_manifest(split: Split, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(split_manifest(split), fh, indent=2)
-        fh.write("\n")

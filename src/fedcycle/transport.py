@@ -12,8 +12,7 @@ Wire layout (little-endian throughout):
     crc              u32      CRC-32 (IEEE) of all preceding bytes
 
 Socket transfers are length-prefixed frames (u64 length, then the packet),
-acknowledged with a single status byte before the sender proceeds. The same
-byte layout is written to disk as ``.fwt`` checkpoint files.
+acknowledged with a single status byte before the sender proceeds.
 """
 from __future__ import annotations
 
@@ -244,16 +243,6 @@ def deserialize(data: bytes, specs) -> tuple[ModelState, PacketMeta]:
             raise FormatError(f"optimizer step count {step!r} is not an integer in 0..2**53")
         model.opt_state.step = int(step)
     return model, meta
-
-
-def write_packet(path, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
-def read_packet(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
 
 
 # --- channels -------------------------------------------------------------

@@ -72,7 +72,7 @@ def desk_results():
         out["ensemble"].append(ens.test_accuracy)
         # the ensemble members are exactly the per-institution models, so the
         # institutional baseline reuses them instead of retraining
-        test_norm = normalize(split.test)[0]
+        test_norm = normalize(split.test)
         singles = [evaluate(m, test_norm)["top1"] for m in ens.models]
         out["single_mean"].append(float(np.mean(singles)))
     return out

@@ -13,7 +13,7 @@ import pytest
 from fedcycle import cli
 from fedcycle.cli import METRICS_COLUMNS, main
 from fedcycle.nn import LayerSpec, OptimizerConfig, init_model
-from fedcycle.transport import serialize, write_packet
+from fedcycle.transport import serialize
 
 CONFIG = """
 dataset:
@@ -281,7 +281,7 @@ class TestInspect:
         model = init_model(specs, OptimizerConfig("adam", 1e-3),
                            np.random.default_rng(0))
         path = tmp_path / "model.fwt"
-        write_packet(path, serialize(model, global_epoch=12, origin=2))
+        path.write_bytes(serialize(model, global_epoch=12, origin=2))
         assert main(["inspect", str(path)]) == 0
         out = capsys.readouterr().out
         assert "format_version: 1" in out
@@ -296,7 +296,7 @@ class TestInspect:
         data = bytearray(serialize(model))
         data[10] ^= 0xFF
         path = tmp_path / "bad.fwt"
-        write_packet(path, bytes(data))
+        path.write_bytes(data)
         assert main(["inspect", str(path)]) == 1
 
 

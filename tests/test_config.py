@@ -1,8 +1,14 @@
+import copy
+import importlib.util
+import math
 import re
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from fedcycle.cli import main
 from fedcycle.config import (ConfigError, build_dataset, build_experiment,
@@ -137,6 +143,13 @@ class TestLoadPlan:
         with pytest.raises(ConfigError):
             load_plan(path)
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python reads ints of any length")
+    def test_int_beyond_digit_limit(self, tmp_path):
+        path = write_config(tmp_path, **{"patience: 5": "patience: 1" + "0" * 5000})
+        with pytest.raises(ConfigError, match="digits"):
+            load_plan(path)
+
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("dataset: [unclosed\n")
@@ -214,12 +227,18 @@ INVALID_AT_LOAD = [
     ("max_decays: 2", "max_decays: 26", "schedule.max_decays"),
     ("learning_rate: 0.001", "learning_rate: 0.001\n  beta1: 1.0", "optimizer.beta1"),
     ("learning_rate: 0.001", "learning_rate: 0.001\n  beta2: -0.5", "optimizer.beta2"),
+    ("learning_rate: 0.001", "learning_rate: 0.001\n  beta2: 0", "optimizer.beta2"),
     ("learning_rate: 0.001", "learning_rate: 0.001\n  epsilon: 0.0", "optimizer.epsilon"),
     # NaN compares false both ways, so each lower bound must reject it
     ("learning_rate: 0.001", "learning_rate: .nan", "optimizer.learning_rate"),
     ("learning_rate: 0.001", "learning_rate: 0.001\n  l2: .nan", "optimizer.l2"),
     ("learning_rate: 0.001", "learning_rate: 0.001\n  epsilon: .nan", "optimizer.epsilon"),
     ("augment_sigma: 0.1", "augment_sigma: .nan", "training.augment_sigma"),
+    # inf passes every lower bound, so each float key must be finite
+    ("learning_rate: 0.001", "learning_rate: .inf", "optimizer.learning_rate"),
+    ("learning_rate: 0.001", "learning_rate: 0.001\n  l2: .inf", "optimizer.l2"),
+    ("augment_sigma: 0.1", "augment_sigma: .inf", "training.augment_sigma"),
+    ("learning_rate: 0.001", "learning_rate: 0.001\n  epsilon: .inf", "optimizer.epsilon"),
 ]
 
 
@@ -254,6 +273,11 @@ class TestSchema:
         assert cfg.optimizer.learning_rate == 1.0
         assert type(cfg.optimizer.learning_rate) is float
         assert type(cfg.augment_sigma) is float
+
+    def test_int_beyond_float_range(self, tmp_path):
+        path = write_config(tmp_path, **{"learning_rate: 0.001": f"learning_rate: {10 ** 400}"})
+        with pytest.raises(ConfigError, match=r"^optimizer\.learning_rate: must be finite"):
+            load_plan(path)
 
     def test_renamed_keys(self, tmp_path):
         path = write_config(tmp_path, **{
@@ -302,3 +326,84 @@ class TestSchema:
         path.write_text("patient_id,label,f0\np0,x,1.0\n")
         with pytest.raises(ConfigError, match="dataset"):
             build_dataset({"kind": "csv", "path": str(path)})
+
+
+ROOT = Path(__file__).resolve().parents[1]
+FUZZ_VALUES = ("x", -1, 0, math.nan, math.inf, -math.inf, None)
+# Keys the schema accepts that neither a shipped config nor a benchmark
+# document sets.
+OPTIONAL_KEYS = [
+    *(("optimizer", k) for k in ("l2", "epsilon", "beta1", "beta2", "momentum")),
+    ("training", "top_k"), ("training", "carry_optimizer_state"),
+    *(("schedule", k) for k in ("kind", "decay", "period")),
+    ("model", "batchnorm"), ("model", "dropout"),
+    ("heuristic", "institution"), ("heuristic", "m_values"),
+    ("dataset", "ring_gap"), ("dataset", "blob_radius"),
+]
+
+
+def _fuzz_documents() -> dict:
+    """The three shipped configs and the benchmark's workload documents."""
+    docs = {p.name: yaml.safe_load(p.read_text()) for p in sorted(ROOT.glob("configs/*.yaml"))}
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.NAMES:
+        for i, run in enumerate(workloads.build(name, 1).runs):
+            docs[f"{name}[{i}]"] = run.doc
+    return docs
+
+
+def _key_paths(doc: dict, prefix=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _fuzz_cases(optional: bool):
+    """(document name, key path, value, YAML text, heuristic kind) per
+    distinct document: each key of a document set to each fuzz value, or
+    with `optional` each key of OPTIONAL_KEYS that the document leaves out.
+    Training stops after 2 epochs unless max_epochs is the key under test."""
+    seen = set()
+    for name, base in _fuzz_documents().items():
+        paths = [p for p in OPTIONAL_KEYS if p[1] not in base[p[0]]] if optional \
+            else list(_key_paths(base))
+        for path in paths:
+            for value in FUZZ_VALUES:
+                doc = copy.deepcopy(base)
+                if path != ("training", "max_epochs"):
+                    doc["training"]["max_epochs"] = min(doc["training"].get("max_epochs", 2), 2)
+                section = doc
+                for key in path[:-1]:
+                    section = section[key]
+                section[path[-1]] = value
+                text = yaml.safe_dump(doc)
+                if text not in seen:
+                    seen.add(text)
+                    yield name, ".".join(path), value, text, base["heuristic"]["kind"]
+
+
+@pytest.mark.parametrize("optional", [False, True], ids=["document-keys", "optional-keys"])
+def test_fuzzed_key_exits_cleanly(tmp_path, capsys, optional):
+    """A wrong type, a negative, zero, NaN, an infinity or null at any key
+    either runs (exit 0) or stops with one `error:` line (exit 2); nothing
+    raises and nothing fails mid-run."""
+    failures, path, n = [], tmp_path / "experiment.yaml", 0
+    for n, (name, key, value, text, kind) in enumerate(_fuzz_cases(optional), 1):
+        path.write_text(text)
+        argv = ["sweep" if kind == "sweep" else "run", str(path),
+                "--output-dir", str(tmp_path / "out")]
+        try:
+            code = main(argv)
+        except Exception as exc:  # an exception that escapes main is a failure
+            code = repr(exc)
+        out, err = capsys.readouterr()
+        errors = (out + err).count("error:")
+        if code not in (0, 2) or errors > 1:
+            failures.append(f"{name} {key}={value!r}: exit {code}, {errors} error line(s)")
+    assert n > (100 if optional else 1000)
+    assert not failures, "\n".join(failures)

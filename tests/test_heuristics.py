@@ -131,9 +131,9 @@ class TestSingleAndCentral:
     def test_normalizes_only_cohorts_it_uses(self, monkeypatch, kind):
         calls = []
 
-        def counting(cohort, stats=None):
+        def counting(cohort):
             calls.append(len(cohort))
-            return normalize(cohort, stats)
+            return normalize(cohort)
         monkeypatch.setattr(heuristics, "normalize", counting)
         run_heuristic(tiny_config(max_epochs=2), tiny_split(k=4), kind, institution=2)
         assert len(calls) == 3  # the cohort it trains on, validation and test
@@ -146,10 +146,9 @@ class TestSingleAndCentral:
         split = tiny_split(k=3)
         cohorts = []
 
-        def recording(cohort, stats=None):
-            assert stats is None
+        def recording(cohort):
             cohorts.append(cohort)
-            return normalize(cohort, stats)
+            return normalize(cohort)
         monkeypatch.setattr(heuristics, "normalize", recording)
         run_heuristic(tiny_config(max_epochs=2), split, kind)
         assert any(c is split.validation for c in cohorts)
@@ -166,7 +165,7 @@ class TestEnsemble:
 
     def test_members_leave_test_cohort_unscored(self, monkeypatch):
         split = tiny_split(k=4)
-        test = normalize(split.test)[0]
+        test = normalize(split.test)
         test_evaluations = []
 
         def counting(model, cohort, k=1):

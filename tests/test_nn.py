@@ -6,7 +6,7 @@ import pytest
 
 from fedcycle.data import Dataset
 from fedcycle.heuristics import ExperimentConfig, mlp_specs, train_on
-from fedcycle.nn import (OPT_ROLES, Batch, LayerSpec, OptimizerConfig,
+from fedcycle.nn import (OPT_ROLES, LayerSpec, OptimizerConfig,
                          backward, forward, glorot_init, grad_check, gradcheck_suite,
                          has_flat_relu, init_model, loss, opt_step,
                          validate_specs, workspace)
@@ -200,7 +200,7 @@ class TestBackward:
         x = rng.normal(size=(8, 3))
         if has_flat_relu(m, x):
             pytest.skip("degenerate draw")
-        err = grad_check(m, Batch(x, rng.integers(0, 2, 8)), h=(1e-5, 1e-4, 1e-3))
+        err = grad_check(m, x, rng.integers(0, 2, 8), h=(1e-5, 1e-4, 1e-3))
         assert err < 1e-4
 
 
@@ -399,7 +399,7 @@ class TestGradCheck:
         specs = [LayerSpec("sigmoid-head", 3, 1)]
         rng = np.random.default_rng(0)
         m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
-        err = grad_check(m, Batch(rng.normal(size=(10, 3)), rng.integers(0, 2, 10)))
+        err = grad_check(m, rng.normal(size=(10, 3)), rng.integers(0, 2, 10))
         assert err < 1e-6
 
     def test_zero_step_rejected(self):
@@ -407,7 +407,7 @@ class TestGradCheck:
         rng = np.random.default_rng(0)
         m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
         with pytest.raises(ValueError):
-            grad_check(m, Batch(rng.normal(size=(4, 3)), rng.integers(0, 2, 4)), h=0.0)
+            grad_check(m, rng.normal(size=(4, 3)), rng.integers(0, 2, 4), h=0.0)
 
     def test_suite_covers_all_layer_kinds(self):
         assert gradcheck_suite(n_seeds=3) < 1e-4
@@ -458,7 +458,7 @@ def _trainer(name, seed, n=37):
     lrs = iter([cfg.optimizer.learning_rate] * 2 + [cfg.optimizer.learning_rate / 4])
 
     def epoch():
-        assert train_on(m, cohort, 1, cfg, next(lrs), rng) == -(-n // cfg.batch_size)
+        assert train_on(m, cohort, cfg, next(lrs), rng) == -(-n // cfg.batch_size)
     return m, epoch
 
 

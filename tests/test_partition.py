@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from fedcycle.cli import _write_json
 from fedcycle.data import Dataset, gen_synthetic
 from fedcycle.partition import (CapacityError, SplitPlan, pool, split_manifest,
-                                stratified_split, write_manifest)
+                                stratified_split)
 
 
 def make_dataset(seed=0, n_patients=200, num_classes=2, spp=3, noise=0.0):
@@ -109,7 +110,7 @@ class TestManifest:
     def test_write_manifest_json(self, tmp_path):
         split = stratified_split(make_dataset(), PLAN)
         path = tmp_path / "manifest.json"
-        write_manifest(split, path)
+        _write_json(path, split_manifest(split))
         assert json.loads(path.read_text()) == split_manifest(split)
 
 

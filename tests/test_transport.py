@@ -15,9 +15,8 @@ from fedcycle.transport import (ArchitectureMismatchError, CorruptionError,
                                 FormatError, MemoryChannel, SocketChannel,
                                 TransferFailedError, TruncationError,
                                 arch_hash, deserialize,
-                                make_channel, read_meta, read_packet,
-                                recv_frame, send_frame, serialize,
-                                write_packet)
+                                make_channel, read_meta, recv_frame,
+                                send_frame, serialize)
 
 SPECS = [LayerSpec("affine", 3, 4), LayerSpec("batchnorm", 4, 4),
          LayerSpec("relu", 4, 4), LayerSpec("dropout", 4, 4, 0.5),
@@ -366,9 +365,8 @@ class TestPacketFiles:
         m = make_model()
         data = serialize(m, global_epoch=5)
         path = tmp_path / "checkpoint.fwt"
-        write_packet(path, data)
-        assert read_packet(path) == data
-        back, meta = deserialize(read_packet(path), SPECS)
+        path.write_bytes(data)
+        back, meta = deserialize(path.read_bytes(), SPECS)
         assert models_equal(m, back)
         assert meta.global_epoch == 5
 
