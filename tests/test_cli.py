@@ -300,12 +300,15 @@ class TestInspect:
         assert main(["inspect", str(path)]) == 1
 
 
-def _run_digests(tmp_path, kind, transport):
-    """sha256 of the files one seed-0 run of configs/quick_demo.yaml writes."""
+def _run_digests(tmp_path, kind, transport, edits=()):
+    """sha256 of the files one seed-0 run of configs/quick_demo.yaml writes,
+    with each (old, new) line of `edits` replaced first."""
     text = (Path(__file__).resolve().parents[1] / "configs" / "quick_demo.yaml").read_text()
-    assert text.count("kind: cyclical") == 1
+    for old, new in (("kind: cyclical", f"kind: {kind}"), *edits):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
     path = tmp_path / "demo.yaml"
-    path.write_text(text.replace("kind: cyclical", f"kind: {kind}"))
+    path.write_text(text)
     outdir = tmp_path / "out"
     assert main(["run", str(path), "--output-dir", str(outdir),
                  "--transport", transport]) == 0
@@ -318,7 +321,7 @@ def _run_digests(tmp_path, kind, transport):
 # summary_seed0.json, aggregate.json and split_manifest.json: a refactor
 # must leave every byte a run writes as it was. Single transfer never
 # plateaus at institution 0 within the demo's 500 epochs, so it writes what
-# single writes.
+# single writes; the hand-off test below raises the learning rate to reach one.
 DEMO_MANIFEST = "f36892503a58297a"
 SINGLE = ["cc3d09fa18924278", "ac77cb12ad34fafa", "cb1b7518147cb699"]
 CYCLICAL = ["af2b051bee5d9613", "380ee8dff114317a", "585f9003ebec50b4"]
@@ -334,3 +337,14 @@ CYCLICAL = ["af2b051bee5d9613", "380ee8dff114317a", "585f9003ebec50b4"]
 ])
 def test_run_digest(tmp_path, kind, transport, digests):
     assert _run_digests(tmp_path, kind, transport) == digests + [DEMO_MANIFEST]
+
+
+def test_run_digest_single_transfer_handoff(tmp_path):
+    # at ten times the demo's learning rate single transfer plateaus at
+    # institution 0 and hands the model to institution 1 once
+    edits = [("learning_rate: 0.0005", "learning_rate: 0.005")]
+    digests = _run_digests(tmp_path, "single_transfer", "memory", edits)
+    assert digests == ["5a91cf0cfe08fa83", "8720ca36d437b653", "585f9003ebec50b4",
+                       DEMO_MANIFEST]
+    summary = json.loads((tmp_path / "out" / "summary_seed0.json").read_text())
+    assert (summary["epochs"], summary["transfers"]) == (71, 1)
