@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import transport
 from .config import ConfigError, build_experiment, load_plan, seed_value
+from .data import DegenerateFeatureError, normalize
 from .heuristics import run_heuristic, run_scaling_sweep
 from .nn import gradcheck_suite
 from .partition import CapacityError, split_manifest, stratified_split
@@ -47,14 +48,14 @@ def write_metrics_csv(path, rows) -> None:
             ])
 
 
-def _summary_dict(seed, result) -> dict:
+def _summary_dict(cfg, result) -> dict:
     return {
-        "seed": seed,
+        "seed": cfg.seed,
         "train_accuracy": result.train_accuracy,
         "validation_accuracy": result.validation_accuracy,
         "test_accuracy": result.test_accuracy,
         "test_top_k": result.test_top_k,
-        "top_k": result.top_k,
+        "top_k": cfg.top_k,
         "epochs": result.metrics[-1].global_epoch if result.metrics else 0,
         "transfers": result.transfers,
         "optimizer_steps": result.optimizer_steps,
@@ -81,7 +82,7 @@ def _write_json(path, payload) -> None:
 def _prepare(args):
     """Load the plan and apply the command line to it, then build the dataset
     and the split, and make the output directory with split_manifest.json in
-    it. Every check of the plan and the command line comes first."""
+    it. Every check of the plan, the command line and the split comes first."""
     plan = load_plan(args.config)
     kind = plan.heuristic.kind
     if args.command == "run" and kind == "sweep":
@@ -107,6 +108,13 @@ def _prepare(args):
                                                      transport=args.transport))
     dataset, base_cfg = build_experiment(plan)
     split = stratified_split(dataset, plan.split_plan)
+    if args.command != "partition":
+        # every heuristic scales these two cohorts by their own statistics
+        for name in ("validation", "test"):
+            try:
+                normalize(getattr(split, name))
+            except DegenerateFeatureError as exc:
+                raise ConfigError(f"split: the {name} cohort has {exc}") from exc
     outdir = Path(plan.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "split_manifest.json", split_manifest(split))
@@ -128,7 +136,7 @@ def cmd_run(args) -> int:
                   file=sys.stderr)
             return 1
         write_metrics_csv(outdir / f"metrics_seed{seed}.csv", result.metrics)
-        summary = _summary_dict(seed, result)
+        summary = _summary_dict(cfg, result)
         _write_json(outdir / f"summary_seed{seed}.json", summary)
         summaries.append(summary)
         print(f"seed {seed}: train {result.train_accuracy:.4f} "

@@ -14,8 +14,8 @@ import numpy as np
 import yaml
 
 from .data import Dataset, gen_synthetic, load_csv
-from .heuristics import ExperimentConfig, mlp_specs
-from .nn import OptimizerConfig
+from .heuristics import ExperimentConfig
+from .nn import OptimizerConfig, mlp_specs
 from .partition import SplitPlan
 from .schedule import ExpDecayPolicy, PlateauPolicy
 

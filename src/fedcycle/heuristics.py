@@ -16,8 +16,8 @@ import numpy as np
 
 from . import transport
 from .data import Dataset, augment, normalize
-from .nn import (LayerSpec, ModelState, OptimizerConfig, OptState, backward,
-                 forward, init_model, loss, opt_step, workspace)
+from .nn import (ModelState, OptimizerConfig, OptState, backward, forward,
+                 init_model, loss, mlp_specs, opt_step)
 from .partition import Split, pool
 from .schedule import (CONTINUE, STOP, ExpDecayPolicy, PlateauPolicy,
                        PlateauState, exp_decay_lr, observe)
@@ -67,7 +67,6 @@ class RunResult:
     validation_accuracy: float
     test_accuracy: float
     test_top_k: float
-    top_k: int
     transfers: int = 0
     optimizer_steps: int = 0
 
@@ -130,14 +129,13 @@ def train_on(model: ModelState, cohort: Dataset, cfg: ExperimentConfig, lr: floa
              rng: np.random.Generator) -> int:
     """Train one epoch, a full pass in shuffled mini-batches, with fresh
     augmentation noise; returns the number of optimizer steps taken. The
-    cohort is expected to be normalized already. Each step runs in the
-    shared workspace of the model's layout at its batch size."""
+    cohort is expected to be normalized already."""
     features = augment(cohort.features, cfg.augment_sigma, rng)
     perm = rng.permutation(len(cohort))
     starts = range(0, len(perm), cfg.batch_size)
     for start in starts:
         idx = perm[start:start + cfg.batch_size]
-        fp = forward(model, features[idx], rng=rng, ws=workspace(model.layout, len(idx)))
+        fp = forward(model, features[idx], rng=rng)
         g = backward(model, fp, cohort.labels[idx], cfg.optimizer.l2_coeff)
         opt_step(model, g, cfg.optimizer, lr)
     return len(starts)
@@ -178,7 +176,6 @@ class _Recorder:
             validation_accuracy=last.validation_accuracy,
             test_accuracy=scores["top1"],
             test_top_k=scores["topk"],
-            top_k=self.cfg.top_k,
             transfers=transfers,
             optimizer_steps=steps,
         )
@@ -212,31 +209,28 @@ def _handoff(model: ModelState, cfg: ExperimentConfig, channel, *,
 
 
 def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset,
-                test: Dataset | None, *, epochs_per_visit: int | None = None,
-                patience_scale: int = 1, plateau_ends_visit: bool = False) -> RunResult:
+                test: Dataset | None) -> RunResult:
     """The training loop behind every heuristic.
 
-    `visits` yields (institution, cohort) pairs. Each visit trains one epoch
-    at a time, records it and feeds its validation loss to one plateau
-    schedule shared by the whole run. A visit lasts `epochs_per_visit`
-    epochs, or until a plateau when that is None. A plateau decays the
-    learning rate and, once the decays are used up, ends the run; with
-    `plateau_ends_visit` any plateau ends the visit instead, and the
-    patience count restarts at the next institution. The model is handed
-    to the next visit's institution through the channel, which is opened at
-    the first hand-off. Hand-offs stop once the run has stopped or spent
-    `max_epochs`.
+    `visits` yields (institution, cohort, epochs) triples. Each visit trains
+    one epoch at a time, records it and feeds its validation loss to one
+    plateau schedule, `cfg.plateau`, shared by the whole run. A plateau
+    decays the learning rate and, once the decays are used up, ends the
+    run. A visit lasts `epochs` epochs; with `epochs` None it lasts until
+    any plateau instead, and its patience count restarts at the hand-off.
+    The model is handed to the next visit's institution through the
+    channel, which is opened at the first hand-off. Hand-offs stop once the
+    run has stopped or spent `max_epochs`.
     """
     model = _build_model(cfg)
     rng = _train_rng(cfg)
-    policy = replace(cfg.plateau, patience_scale=patience_scale)
     state = PlateauState.fresh(cfg.optimizer.learning_rate)
     rec = _Recorder(cfg, validation, test)
     channel = None
     steps = transfers = epoch = 0
     stopped = False
     try:
-        for n, (institution, cohort) in enumerate(visits):
+        for n, (institution, cohort, epochs) in enumerate(visits):
             if stopped or epoch >= cfg.max_epochs:
                 break
             if n:
@@ -244,10 +238,10 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset,
                 model = _handoff(model, cfg, channel, origin=origin,
                                  destination=institution, global_epoch=epoch)
                 transfers += 1
-                if plateau_ends_visit:
+                if epochs is None:
                     state.epochs_since_improve = 0
             origin = institution
-            for _ in range(epochs_per_visit or cfg.max_epochs):
+            for _ in range(epochs or cfg.max_epochs):
                 if epoch >= cfg.max_epochs:
                     break
                 epoch += 1
@@ -255,8 +249,8 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset,
                 phase = state.phase
                 steps += train_on(model, cohort, cfg, lr, rng)
                 val_loss = rec.record(model, epoch, phase, institution, lr, cohort)
-                kind = observe(state, policy, val_loss).kind
-                if plateau_ends_visit and kind != CONTINUE:
+                kind = observe(state, cfg.plateau, val_loss).kind
+                if epochs is None and kind != CONTINUE:
                     break
                 if kind == STOP:
                     stopped = True
@@ -271,13 +265,13 @@ def run_single_institution(cfg: ExperimentConfig, split: Split, index: int) -> R
     if not (0 <= index < len(split.institutions)):
         raise IndexError(f"institution index {index} out of range")
     cohort = normalize(split.institutions[index])
-    return _run_visits(cfg, [(index, cohort)], *_eval_cohorts(split))
+    return _run_visits(cfg, [(index, cohort, cfg.max_epochs)], *_eval_cohorts(split))
 
 
 def run_central(cfg: ExperimentConfig, split: Split) -> RunResult:
     pooled = normalize(pool(split))
     val, test = _eval_cohorts(split)
-    return _run_visits(cfg, [(None, pooled)], val, test)
+    return _run_visits(cfg, [(None, pooled, cfg.max_epochs)], val, test)
 
 
 def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
@@ -288,8 +282,8 @@ def run_ensemble(cfg: ExperimentConfig, split: Split) -> RunResult:
     """Train one model per institution (seeds seed+i), average output
     probabilities sample-wise, then threshold/argmax."""
     insts, val, test = _normalized_cohorts(split)
-    runs = [_run_visits(replace(cfg, seed=cfg.seed + i), [(i, cohort)], val, None)
-            for i, cohort in enumerate(insts)]
+    runs = [_run_visits(replace(cfg, seed=cfg.seed + i), [(i, c, cfg.max_epochs)], val, None)
+            for i, c in enumerate(insts)]
     members = [res.models[0] for res in runs]
 
     def score(cohort, k=1):
@@ -306,7 +300,6 @@ def run_ensemble(cfg: ExperimentConfig, split: Split) -> RunResult:
         validation_accuracy=val_scores["top1"],
         test_accuracy=test_scores["top1"],
         test_top_k=test_scores["topk"],
-        top_k=cfg.top_k,
         optimizer_steps=sum(res.optimizer_steps for res in runs),
     )
 
@@ -317,7 +310,7 @@ def run_single_weight_transfer(cfg: ExperimentConfig, split: Split) -> RunResult
     decay ladder advances at each transfer; plateau at the last institution
     terminates."""
     insts, val, test = _normalized_cohorts(split)
-    return _run_visits(cfg, enumerate(insts), val, test, plateau_ends_visit=True)
+    return _run_visits(cfg, [(i, cohort, None) for i, cohort in enumerate(insts)], val, test)
 
 
 def run_cyclical_weight_transfer(cfg: ExperimentConfig, split: Split,
@@ -327,8 +320,9 @@ def run_cyclical_weight_transfer(cfg: ExperimentConfig, split: Split,
     if freq < 1:
         raise ValueError("weight transfer frequency must be >= 1")
     insts, val, test = _normalized_cohorts(split)
-    return _run_visits(cfg, itertools.cycle(enumerate(insts)), val, test,
-                       epochs_per_visit=freq, patience_scale=len(insts))
+    cfg = replace(cfg, plateau=replace(cfg.plateau, patience_scale=len(insts)))
+    visits = itertools.cycle([(i, cohort, freq) for i, cohort in enumerate(insts)])
+    return _run_visits(cfg, visits, val, test)
 
 
 def run_scaling_sweep(cfg: ExperimentConfig, split: Split, m_values,
@@ -360,23 +354,3 @@ def run_heuristic(cfg: ExperimentConfig, split: Split, kind: str, *,
         return run_cyclical_weight_transfer(cfg, split, frequency)
     raise ValueError(f"unknown heuristic {kind!r}")
 
-
-def mlp_specs(in_dim: int, hidden, num_classes: int, *,
-              batchnorm: bool = False, dropout: float = 0.0) -> list:
-    """Default architecture: affine->(batchnorm)->relu blocks, optional
-    dropout before the readout, sigmoid head for 2 classes else softmax."""
-    specs = []
-    width = in_dim
-    for h in hidden:
-        specs.append(LayerSpec("affine", width, h))
-        if batchnorm:
-            specs.append(LayerSpec("batchnorm", h, h))
-        specs.append(LayerSpec("relu", h, h))
-        width = h
-    if dropout != 0.0:  # a negative rate reaches LayerSpec, which rejects it
-        specs.append(LayerSpec("dropout", width, width, dropout_rate=dropout))
-    if num_classes == 2:
-        specs.append(LayerSpec("sigmoid-head", width, 1))
-    else:
-        specs.append(LayerSpec("softmax-head", width, num_classes))
-    return specs

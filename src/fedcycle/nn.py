@@ -63,6 +63,27 @@ class LayerSpec:
             raise ValueError("softmax-head requires out_dim >= 2")
 
 
+def mlp_specs(in_dim: int, hidden, num_classes: int, *,
+              batchnorm: bool = False, dropout: float = 0.0) -> list:
+    """Default architecture: affine->(batchnorm)->relu blocks, optional
+    dropout before the readout, sigmoid head for 2 classes else softmax."""
+    specs = []
+    width = in_dim
+    for h in hidden:
+        specs.append(LayerSpec("affine", width, h))
+        if batchnorm:
+            specs.append(LayerSpec("batchnorm", h, h))
+        specs.append(LayerSpec("relu", h, h))
+        width = h
+    if dropout != 0.0:  # a negative rate reaches LayerSpec, which rejects it
+        specs.append(LayerSpec("dropout", width, width, dropout_rate=dropout))
+    if num_classes == 2:
+        specs.append(LayerSpec("sigmoid-head", width, 1))
+    else:
+        specs.append(LayerSpec("softmax-head", width, num_classes))
+    return specs
+
+
 def validate_specs(specs):
     """Check layer chaining and head placement; raises ValueError."""
     if not specs:
@@ -192,11 +213,6 @@ class ModelState:
     def specs(self) -> tuple:
         return self.layout.specs
 
-    @property
-    def num_classes(self) -> int:
-        head = self.specs[-1]
-        return 2 if head.kind == "sigmoid-head" else head.out_dim
-
     def param_items(self):
         """Yield (layer_index, name, array) in canonical order."""
         for i, name, *_ in self.layout.params:
@@ -216,7 +232,7 @@ def init_model(specs, opt_cfg: OptimizerConfig, rng: np.random.Generator) -> Mod
     model = ModelState(layout, np.empty(layout.size), np.zeros(layout.running_size),
                        OptState.zeros(opt_cfg.kind, layout.size))
     for spec, p, run in zip(layout.specs, model.params, model.stats):
-        if spec.kind in ("affine",) + HEAD_KINDS:
+        if "W" in p:  # affine layers and both heads
             limit = math.sqrt(6.0 / (spec.in_dim + spec.out_dim))
             p["W"][...] = glorot_init(spec.in_dim, spec.out_dim, rng)
             # biases share the layer's Glorot limit (same fan pair)
@@ -229,19 +245,21 @@ def init_model(specs, opt_cfg: OptimizerConfig, rng: np.random.Generator) -> Mod
 
 
 class Workspace:
-    """The arrays one forward and backward pass of an architecture at a
-    fixed batch size write into, so that a training step allocates almost
-    nothing. Each pass overwrites the previous pass's arrays.
+    """One forward pass of an architecture at a fixed batch size and the
+    arrays it and its backward pass write into, so that a training step
+    allocates almost nothing; each pass overwrites the last one's arrays.
 
     Per layer, `out[i]` is its output and `aux[i]` its other forward
-    buffers. The flat gradient and the backward buffers are made on the
-    first backward pass, so a workspace that only evaluates never holds
-    them.
+    buffers. `forward` sets `probs` (the head's output), `caches` (per
+    layer what backward reads) and `train`. The flat gradient and the
+    backward buffers are made on the first backward pass, so a workspace
+    that only evaluates never holds them.
     """
 
     def __init__(self, layout: Layout, rows: int):
         self.layout = layout
         self.rows = rows
+        self.probs, self.caches, self.train = None, [], False
         self.out, self.aux = [], []
         for spec in layout.specs:
             shape = (rows, spec.out_dim)
@@ -278,40 +296,30 @@ class Workspace:
 
 @functools.lru_cache(maxsize=32)
 def workspace(layout: Layout, rows: int) -> Workspace:
-    """The Workspace of `layout` at `rows` batch rows that training loops
-    share: every step through it overwrites the last one's arrays."""
+    """The Workspace of `layout` at `rows` batch rows that train-mode passes
+    share: every pass through it overwrites the last one's arrays."""
     return Workspace(layout, rows)
 
 
-@dataclass
-class ForwardPass:
-    probs: np.ndarray
-    caches: list
-    train: bool
-    ws: Workspace
-
-
 def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | None = None,
-            *, train: bool = True, pure: bool = False, ws: Workspace | None = None) -> ForwardPass:
-    """Run the network in train mode, or in eval mode with `train=False`.
+            *, train: bool = True, pure: bool = False) -> Workspace:
+    """Run the network in train mode, or in eval mode with `train=False`,
+    and return the pass: its Workspace, with `probs`, `caches` and `train`.
 
     In eval mode dropout is the identity and batch norm uses running
     statistics, so the call is pure. In train mode batch norm uses batch
     statistics and updates the running averages in place, and dropout
     draws a fresh inverted-scaling mask from `rng`; `pure=True` does
-    neither. The pass writes into `ws`, a Workspace of the model's layout
-    with one row per sample, or into a fresh one when None; `probs` and the
-    caches are its arrays. Only a train-mode pass keeps every layer's input
-    in the caches.
+    neither. A train-mode pass writes into the shared
+    `workspace(layout, rows)`, so the next train-mode pass at that batch
+    size overwrites it; an eval pass writes into a fresh Workspace. Only a
+    train-mode pass keeps every layer's input in the caches.
     """
     if features.ndim != 2 or features.shape[1] != model.specs[0].in_dim:
         raise ValueError(
             f"expected input width {model.specs[0].in_dim}, got {features.shape}"
         )
-    if ws is None:
-        ws = Workspace(model.layout, len(features))
-    elif ws.layout is not model.layout or ws.rows != len(features):
-        raise ValueError("workspace does not fit the model's layout and the batch")
+    ws = (workspace if train else Workspace)(model.layout, len(features))
     a = x = np.asarray(features, dtype=np.float64)
     caches = []
     for i, spec in enumerate(model.specs):
@@ -377,16 +385,14 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
             np.add.reduce(e, axis=1, keepdims=True, out=col)
             e /= col
         a = out
-    return ForwardPass(probs=a, caches=caches, train=train, ws=ws)
+    ws.probs, ws.caches, ws.train = a, caches, train
+    return ws
 
 
 def l2_penalty(model: ModelState, l2_coeff: float) -> float:
     if l2_coeff == 0.0:
         return 0.0
-    total = 0.0
-    for spec, p in zip(model.specs, model.params):
-        if spec.kind in ("affine",) + HEAD_KINDS:
-            total += float(np.sum(p["W"] ** 2))
+    total = sum(float(np.sum(p["W"] ** 2)) for p in model.params if "W" in p)
     return l2_coeff * 0.5 * total
 
 
@@ -409,20 +415,20 @@ def loss(probs: np.ndarray, labels: np.ndarray, model: ModelState, l2_coeff: flo
     return float(ce + l2_penalty(model, l2_coeff))
 
 
-def backward(model: ModelState, fp: ForwardPass, labels: np.ndarray,
+def backward(model: ModelState, fp: Workspace, labels: np.ndarray,
              l2_coeff: float = 0.0) -> np.ndarray:
     """Analytic gradients of loss() w.r.t. every parameter, as one flat
     vector laid out like theta (`Layout.views` splits it per layer).
 
     The vector is the forward pass's workspace's, so the next backward
-    through that workspace overwrites it. Requires a train-mode ForwardPass
+    through that workspace overwrites it. Requires a train-mode pass
     (batch-statistics batch norm, stored dropout masks).
     """
     if not fp.train:
         raise RuntimeError("backward needs activations from a train-mode forward pass")
     labels = np.asarray(labels)
     n = len(labels)
-    grads, dz, din = fp.ws.back
+    grads, dz, din = fp.back
     probs = fp.probs
     if model.specs[-1].kind == "sigmoid-head":
         np.subtract(probs, labels[:, None], out=dz)
@@ -455,13 +461,13 @@ def backward(model: ModelState, fp: ForwardPass, labels: np.ndarray,
             break
         elif spec.kind == "relu":
             (x,) = cache
-            (positive,) = fp.ws.aux[i]
+            (positive,) = fp.aux[i]
             da *= np.greater(x, 0.0, out=positive)
         elif spec.kind == "dropout":
             (mask,) = cache
             if mask is not None:
                 da *= mask
-    return fp.ws.grad
+    return fp.grad
 
 
 @functools.lru_cache(maxsize=128)
@@ -580,10 +586,10 @@ def grad_check(model: ModelState, features: np.ndarray, labels: np.ndarray,
 def gradcheck_suite(n_seeds: int = 20, h=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3)) -> float:
     """Max grad_check error over a battery of architectures and seeds.
 
-    Covers affine, relu, batch norm, dropout (disabled path), both heads,
-    and runs with and without L2. Draws with a batch-wide dead relu unit
-    are redrawn: the loss is flat there and central differences resolve
-    only round-off noise.
+    Builds its models with mlp_specs, as the program does: affine, relu,
+    batch norm, dropout (disabled path), both heads, with and without L2.
+    Draws with a batch-wide dead relu unit are redrawn: the loss is flat
+    there and central differences resolve only round-off noise.
     """
     configs = (
         (2, 0.0, True, 0.5),    # sigmoid head, batchnorm + dropout
@@ -594,16 +600,7 @@ def gradcheck_suite(n_seeds: int = 20, h=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3)) -> floa
     worst = 0.0
     for seed in range(n_seeds):
         for num_classes, l2, with_bn, drop in configs:
-            width = 8
-            specs = [LayerSpec("affine", 4, width), LayerSpec("relu", width, width)]
-            if with_bn:
-                specs.append(LayerSpec("batchnorm", width, width))
-            if drop > 0.0:
-                specs.append(LayerSpec("dropout", width, width, dropout_rate=drop))
-            if num_classes == 2:
-                specs.append(LayerSpec("sigmoid-head", width, 1))
-            else:
-                specs.append(LayerSpec("softmax-head", width, num_classes))
+            specs = mlp_specs(4, [8], num_classes, batchnorm=with_bn, dropout=drop)
             opt = OptimizerConfig("sgd-momentum", learning_rate=0.01, l2_coeff=l2)
             for attempt in range(16):
                 rng = np.random.default_rng([seed, 3, attempt])

@@ -20,8 +20,7 @@ PHASES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 @dataclass(frozen=True)
 class Action:
-    kind: str                 # CONTINUE | DECAY | STOP
-    new_lr: float | None = None
+    kind: str  # CONTINUE | DECAY | STOP
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def observe(state: PlateauState, policy: PlateauPolicy, val_loss: float) -> Acti
     state.decays_used += 1
     state.current_lr *= policy.decay_factor
     state.epochs_since_improve = 0
-    return Action(DECAY, new_lr=state.current_lr)
+    return Action(DECAY)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,6 @@ class _WirePlan:
     table: tuple          # (rows, cols, data offset) per tensor, as _read_table reads it
     template: np.ndarray  # f64 words, read-only
     index: tuple          # int64 word indexes per vector, read-only
-    vector_shapes: tuple  # the shape of each index array
     step_word: int | None
 
 
@@ -141,7 +140,6 @@ def _wire_plan(layout: Layout, opt_kind: str | None) -> _WirePlan:
     index = tuple(_read_only(a) for a in (theta_idx, running_idx, *role_idx.values()))
     return _WirePlan(arch_hash=arch_hash(layout.specs), table=tuple(table),
                      template=_read_only(template), index=index,
-                     vector_shapes=tuple(a.shape for a in index),
                      step_word=None if step_word is None else int(step_word))
 
 
@@ -152,10 +150,10 @@ def serialize(model: ModelState, *, global_epoch: int = 0, origin: int = 0,
     plan = _wire_plan(model.layout, opt_kind)
     vectors = [model.theta, model.running,
                *[opt.flat[role] for role in OPT_ROLES.get(opt_kind, ())]]
-    if tuple([v.shape for v in vectors]) != plan.vector_shapes:
-        raise ValueError("model arrays do not match the model's layer specs")
     words = plan.template.copy()
     for index, vec in zip(plan.index, vectors):
+        if vec.shape != index.shape:
+            raise ValueError("model arrays do not match the model's layer specs")
         words[index] = vec
     if opt_kind is not None:
         words[plan.step_word] = float(opt.step)

@@ -23,6 +23,8 @@ from fedcycle.schedule import (CONTINUE, DECAY, STOP, PlateauPolicy,
                                PlateauState, observe)
 from fedcycle.transport import deserialize, serialize
 
+pytestmark = pytest.mark.slow
+
 # ---------------------------------------------------------------------------
 # shared desk-scale task: 4 institutions x 400 patients, rings, 10% label noise
 

@@ -209,6 +209,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "partition"])
+    def test_degenerate_test_cohort_refused_at_set_up(self, tmp_path, capsys, command):
+        """A one-sample test cohort has no spread to scale by: `run` and
+        `sweep` exit 2 naming it and write nothing; `partition` needs no
+        scaling and writes its manifest."""
+        edits = {"samples_per_patient: 2": "samples_per_patient: 1",
+                 "patients_test: 20": "patients_test: 1"}
+        if command == "sweep":
+            edits["kind: central"] = "kind: sweep\n  m_values: [1, 2]"
+        path = patch_config(tmp_path, **edits)
+        code = main([command, str(path), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if command == "partition":
+            assert code == 0 and (tmp_path / "out" / "split_manifest.json").exists()
+        else:
+            assert code == 2 and not (tmp_path / "out").exists()
+            assert err == "error: split: the test cohort has zero-variance feature(s): f0, f1, f2\n"
+
 
 class TestSweep:
     def test_sweep_outputs_curve(self, tmp_path):

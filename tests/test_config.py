@@ -387,6 +387,7 @@ def _fuzz_cases(optional: bool):
                     yield name, ".".join(path), value, text, base["heuristic"]["kind"]
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("optional", [False, True], ids=["document-keys", "optional-keys"])
 def test_fuzzed_key_exits_cleanly(tmp_path, capsys, optional):
     """A wrong type, a negative, zero, NaN, an infinity or null at any key

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from fedcycle import nn
 from fedcycle.data import Dataset
 from fedcycle.heuristics import ExperimentConfig, mlp_specs, train_on
-from fedcycle.nn import (OPT_ROLES, LayerSpec, OptimizerConfig,
+from fedcycle.nn import (HEAD_KINDS, LAYER_KINDS, OPT_ROLES, LayerSpec, OptimizerConfig,
                          backward, forward, glorot_init, grad_check, gradcheck_suite,
                          has_flat_relu, init_model, loss, opt_step,
                          validate_specs, workspace)
@@ -372,26 +373,19 @@ class TestWorkspace:
         grads = []
         for seed in (1, 2):
             x, y = self.batch(seed)
-            fp = forward(m, x, np.random.default_rng(seed), ws=ws)
-            assert fp.probs is ws.out[-1]
+            fp = forward(m, x, np.random.default_rng(seed))
+            assert fp is ws and fp.probs is ws.out[-1]
             grads.append(backward(m, fp, y, 0.01))
-            fresh = forward(m, x, np.random.default_rng(seed))
-            assert fresh.ws is not ws
-            expected = backward(m, fresh, y, 0.01)
-            assert np.array_equal(grads[-1], expected)
         # the flat gradient belongs to the workspace: the second backward
         # through it overwrote the first one's vector
         assert grads[0] is grads[1] is ws.grad
-
-    def test_workspace_must_fit(self):
-        m = init_model(self.SPECS, OptimizerConfig("adam", 0.1), np.random.default_rng(0))
-        x, _ = self.batch(1)
-        with pytest.raises(ValueError, match="workspace"):
-            forward(m, x[:15], np.random.default_rng(1), ws=workspace(m.layout, 16))
-        other = init_model(self.SPECS[:3] + [self.SPECS[4]], OptimizerConfig("adam", 0.1),
-                           np.random.default_rng(0))
-        with pytest.raises(ValueError, match="workspace"):
-            forward(other, x, ws=workspace(m.layout, 16))
+        # a workspace that held an earlier pass gives what a new one gives
+        workspace.cache_clear()
+        fresh = forward(m, x, np.random.default_rng(2))
+        assert fresh is not ws and fresh is workspace(m.layout, 16)
+        assert np.array_equal(backward(m, fresh, y, 0.01), grads[1])
+        # an eval pass gets a workspace of its own
+        assert forward(m, x, train=False) is not fresh
 
 
 class TestGradCheck:
@@ -411,6 +405,19 @@ class TestGradCheck:
 
     def test_suite_covers_all_layer_kinds(self):
         assert gradcheck_suite(n_seeds=3) < 1e-4
+
+    def test_suite_checks_every_kind_head_and_l2_setting(self, monkeypatch):
+        checked = []
+
+        def record(model, features, labels, l2_coeff=0.0, h=1e-5):
+            checked.append((model.specs, l2_coeff))
+            return 0.0
+
+        monkeypatch.setattr(nn, "grad_check", record)
+        assert gradcheck_suite(n_seeds=1) == 0.0
+        assert {s.kind for specs, _ in checked for s in specs} == set(LAYER_KINDS)
+        assert {specs[-1].kind for specs, _ in checked} == set(HEAD_KINDS)
+        assert {l2 > 0 for _, l2 in checked} == {True, False}
 
 
 # The golden architectures of the wire-format tests, and a softmax head.

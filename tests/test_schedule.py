@@ -15,9 +15,9 @@ def run_stream(policy, lr0, losses):
 class TestObserve:
     def test_hand_traced_sequence(self):
         policy = PlateauPolicy(patience=2, decay_factor=0.5, max_decays=3)
-        _, actions = run_stream(policy, 0.1, [1.0, 0.9, 0.95, 0.92])
+        state, actions = run_stream(policy, 0.1, [1.0, 0.9, 0.95, 0.92])
         assert [a.kind for a in actions] == [CONTINUE, CONTINUE, CONTINUE, DECAY]
-        assert actions[-1].new_lr == pytest.approx(0.05)
+        assert state.current_lr == pytest.approx(0.05)
 
     def test_always_improving_never_decays(self):
         policy = PlateauPolicy(patience=2, decay_factor=0.5, max_decays=1)
