@@ -310,16 +310,18 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
     statistics, so the call is pure. In train mode batch norm uses batch
     statistics and updates the running averages in place, and dropout
     draws a fresh inverted-scaling mask from `rng`; `pure=True` does
-    neither. A train-mode pass writes into the shared
-    `workspace(layout, rows)`, so the next train-mode pass at that batch
-    size overwrites it; an eval pass writes into a fresh Workspace. Only a
-    train-mode pass keeps every layer's input in the caches.
+    neither. A train-mode pass that is not pure writes into the shared
+    `workspace(layout, rows)`: what it returns, and the gradient `backward`
+    computes from it, hold only until the next such pass of that layout
+    and batch size, by any model. Eval and pure passes write into a fresh
+    Workspace. Only a train-mode pass keeps every layer's input in the
+    caches.
     """
     if features.ndim != 2 or features.shape[1] != model.specs[0].in_dim:
         raise ValueError(
             f"expected input width {model.specs[0].in_dim}, got {features.shape}"
         )
-    ws = (workspace if train else Workspace)(model.layout, len(features))
+    ws = (workspace if train and not pure else Workspace)(model.layout, len(features))
     a = x = np.asarray(features, dtype=np.float64)
     caches = []
     for i, spec in enumerate(model.specs):

@@ -99,9 +99,15 @@ class TestForward:
         m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1),
                        np.random.default_rng(2))
         x = np.random.default_rng(3).normal(size=(9, 3))
-        out1 = forward(m, x, rng=np.random.default_rng(9)).probs
+        # train passes share one workspace: keep a copy of the first result
+        first = forward(m, x, rng=np.random.default_rng(9)).probs
+        out1 = first.copy()
+        first[...] = np.nan
         out2 = forward(m, x, rng=np.random.default_rng(9)).probs
         assert np.array_equal(out1, out2)
+        # a different seed draws a different mask, so the check can fail
+        out3 = forward(m, x, rng=np.random.default_rng(10)).probs
+        assert not np.array_equal(out1, out3)
 
     def test_batchnorm_normalizes_batch(self):
         specs = [LayerSpec("batchnorm", 3, 3), LayerSpec("sigmoid-head", 3, 1)]
@@ -384,8 +390,11 @@ class TestWorkspace:
         fresh = forward(m, x, np.random.default_rng(2))
         assert fresh is not ws and fresh is workspace(m.layout, 16)
         assert np.array_equal(backward(m, fresh, y, 0.01), grads[1])
-        # an eval pass gets a workspace of its own
+        # an eval pass and a pure pass each get a workspace of their own
         assert forward(m, x, train=False) is not fresh
+        kept = fresh.probs.copy()
+        assert forward(m, x, pure=True) is not fresh
+        assert np.array_equal(fresh.probs, kept)
 
 
 class TestGradCheck:
