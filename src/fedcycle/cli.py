@@ -172,6 +172,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     """Finite-difference check over every layer kind and both heads."""
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds: must be >= 1, got {args.seeds}")
+    if not 0 < args.tolerance < float("inf"):
+        raise ConfigError(f"--tolerance: must be finite and > 0, got {args.tolerance!r}")
     worst = gradcheck_suite(n_seeds=args.seeds)
     ok = worst < args.tolerance
     print(f"gradcheck: max relative error {worst:.3e} over {args.seeds} seeds "
@@ -240,7 +244,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CapacityError, FileNotFoundError) as exc:
+    except (ConfigError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except transport.TransportError as exc:

@@ -142,8 +142,10 @@ def _plan(dataset: dict, split: dict, model: dict, optimizer: dict, schedule: di
         raise ConfigError("seeds: must be a non-empty list of integers")
     for i, seed in enumerate(seeds):
         seed_value(seed, f"seeds[{i}]")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds: each seed may appear only once, got {list(seeds)}")
+    for key, each, values in (("heuristic.m_values", "m", heur.m_values),
+                              ("seeds", "seed", seeds)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{key}: each {each} may appear only once, got {list(values)}")
     if dataset.get("kind") != "csv":
         seed_value(dataset.get("seed", 0), "dataset.seed")
     plateau, exp_decay = _read(_schedule, schedule, "schedule")

@@ -9,7 +9,6 @@ pure function of (config, split, seed).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -141,46 +140,6 @@ def train_on(model: ModelState, cohort: Dataset, cfg: ExperimentConfig, lr: floa
     return len(starts)
 
 
-class _Recorder:
-    """Per-epoch metrics plus a guard that test data is scored exactly once.
-
-    Without a test cohort the run is left unscored (NaN test accuracy): an
-    ensemble scores its members together, never one by one.
-    """
-
-    def __init__(self, cfg: ExperimentConfig, validation: Dataset, test: Dataset | None):
-        self.cfg = cfg
-        self.validation = validation
-        self.test = test
-        self.rows = []
-        self.test_evaluations = 0
-
-    def record(self, model, global_epoch, phase, institution, lr, cohort) -> float:
-        train_acc = evaluate(model, cohort)["top1"]
-        val_acc, val_loss = _val_metrics(model, self.validation)
-        self.rows.append(MetricsRow(global_epoch, phase, institution, lr,
-                                    train_acc, val_acc, val_loss))
-        return val_loss
-
-    def finish(self, model, transfers=0, steps=0) -> RunResult:
-        self.test_evaluations += 1
-        if self.test_evaluations != 1:
-            raise RuntimeError("test cohort must be scored exactly once")
-        scores = (evaluate(model, self.test, self.cfg.top_k) if self.test is not None
-                  else {"top1": math.nan, "topk": math.nan})
-        last = self.rows[-1]
-        return RunResult(
-            models=[model],
-            metrics=self.rows,
-            train_accuracy=last.train_accuracy,
-            validation_accuracy=last.validation_accuracy,
-            test_accuracy=scores["top1"],
-            test_top_k=scores["topk"],
-            transfers=transfers,
-            optimizer_steps=steps,
-        )
-
-
 def _current_lr(cfg: ExperimentConfig, state: PlateauState, epoch_index: int) -> float:
     if cfg.exp_decay is not None:
         return exp_decay_lr(epoch_index, cfg.optimizer.learning_rate, cfg.exp_decay)
@@ -208,9 +167,9 @@ def _handoff(model: ModelState, cfg: ExperimentConfig, channel, *,
     return new_model
 
 
-def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset,
-                test: Dataset | None) -> RunResult:
-    """The training loop behind every heuristic.
+def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset):
+    """The training loop behind every heuristic: returns the trained model,
+    its per-epoch metrics rows, the transfer count and the optimizer steps.
 
     `visits` yields (institution, cohort, epochs) triples. Each visit trains
     one epoch at a time, records it and feeds its validation loss to one
@@ -220,12 +179,13 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset,
     any plateau instead, and its patience count restarts at the hand-off.
     The model is handed to the next visit's institution through the
     channel, which is opened at the first hand-off. Hand-offs stop once the
-    run has stopped or spent `max_epochs`.
+    run has stopped or spent `max_epochs`. The loop never sees the test
+    cohort.
     """
     model = _build_model(cfg)
     rng = _train_rng(cfg)
     state = PlateauState.fresh(cfg.optimizer.learning_rate)
-    rec = _Recorder(cfg, validation, test)
+    rows = []
     channel = None
     steps = transfers = epoch = 0
     stopped = False
@@ -248,7 +208,10 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset,
                 lr = _current_lr(cfg, state, epoch - 1)
                 phase = state.phase
                 steps += train_on(model, cohort, cfg, lr, rng)
-                val_loss = rec.record(model, epoch, phase, institution, lr, cohort)
+                train_acc = evaluate(model, cohort)["top1"]
+                val_acc, val_loss = _val_metrics(model, validation)
+                rows.append(MetricsRow(epoch, phase, institution, lr,
+                                       train_acc, val_acc, val_loss))
                 kind = observe(state, cfg.plateau, val_loss).kind
                 if epochs is None and kind != CONTINUE:
                     break
@@ -258,20 +221,31 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset,
     finally:
         if channel is not None:
             channel.close()
-    return rec.finish(model, transfers=transfers, steps=steps)
+    return model, rows, transfers, steps
+
+
+def _scored_run(cfg: ExperimentConfig, visits, validation: Dataset,
+                test: Dataset) -> RunResult:
+    """Train one model over `visits`, then score it on the test cohort once."""
+    model, rows, transfers, steps = _run_visits(cfg, visits, validation)
+    scores = evaluate(model, test, cfg.top_k)
+    last = rows[-1]
+    return RunResult(models=[model], metrics=rows, train_accuracy=last.train_accuracy,
+                     validation_accuracy=last.validation_accuracy,
+                     test_accuracy=scores["top1"], test_top_k=scores["topk"],
+                     transfers=transfers, optimizer_steps=steps)
 
 
 def run_single_institution(cfg: ExperimentConfig, split: Split, index: int) -> RunResult:
     if not (0 <= index < len(split.institutions)):
         raise IndexError(f"institution index {index} out of range")
     cohort = normalize(split.institutions[index])
-    return _run_visits(cfg, [(index, cohort, cfg.max_epochs)], *_eval_cohorts(split))
+    return _scored_run(cfg, [(index, cohort, cfg.max_epochs)], *_eval_cohorts(split))
 
 
 def run_central(cfg: ExperimentConfig, split: Split) -> RunResult:
     pooled = normalize(pool(split))
-    val, test = _eval_cohorts(split)
-    return _run_visits(cfg, [(None, pooled, cfg.max_epochs)], val, test)
+    return _scored_run(cfg, [(None, pooled, cfg.max_epochs)], *_eval_cohorts(split))
 
 
 def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
@@ -282,9 +256,9 @@ def run_ensemble(cfg: ExperimentConfig, split: Split) -> RunResult:
     """Train one model per institution (seeds seed+i), average output
     probabilities sample-wise, then threshold/argmax."""
     insts, val, test = _normalized_cohorts(split)
-    runs = [_run_visits(replace(cfg, seed=cfg.seed + i), [(i, c, cfg.max_epochs)], val, None)
-            for i, c in enumerate(insts)]
-    members = [res.models[0] for res in runs]
+    members, rows, _, steps = zip(*(
+        _run_visits(replace(cfg, seed=cfg.seed + i), [(i, c, cfg.max_epochs)], val)
+        for i, c in enumerate(insts)))
 
     def score(cohort, k=1):
         return accuracy_from_probs(ensemble_predict(members, cohort.features),
@@ -294,13 +268,13 @@ def run_ensemble(cfg: ExperimentConfig, split: Split) -> RunResult:
     test_scores = score(test, cfg.top_k)
     train_scores = score(normalize(pool(split)))
     return RunResult(
-        models=members,
-        metrics=[row for res in runs for row in res.metrics],
+        models=list(members),
+        metrics=[row for member_rows in rows for row in member_rows],
         train_accuracy=train_scores["top1"],
         validation_accuracy=val_scores["top1"],
         test_accuracy=test_scores["top1"],
         test_top_k=test_scores["topk"],
-        optimizer_steps=sum(res.optimizer_steps for res in runs),
+        optimizer_steps=sum(steps),
     )
 
 
@@ -310,7 +284,7 @@ def run_single_weight_transfer(cfg: ExperimentConfig, split: Split) -> RunResult
     decay ladder advances at each transfer; plateau at the last institution
     terminates."""
     insts, val, test = _normalized_cohorts(split)
-    return _run_visits(cfg, [(i, cohort, None) for i, cohort in enumerate(insts)], val, test)
+    return _scored_run(cfg, [(i, cohort, None) for i, cohort in enumerate(insts)], val, test)
 
 
 def run_cyclical_weight_transfer(cfg: ExperimentConfig, split: Split,
@@ -322,7 +296,7 @@ def run_cyclical_weight_transfer(cfg: ExperimentConfig, split: Split,
     insts, val, test = _normalized_cohorts(split)
     cfg = replace(cfg, plateau=replace(cfg.plateau, patience_scale=len(insts)))
     visits = itertools.cycle([(i, cohort, freq) for i, cohort in enumerate(insts)])
-    return _run_visits(cfg, visits, val, test)
+    return _scored_run(cfg, visits, val, test)
 
 
 def run_scaling_sweep(cfg: ExperimentConfig, split: Split, m_values,

@@ -593,6 +593,8 @@ def gradcheck_suite(n_seeds: int = 20, h=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3)) -> floa
     Draws with a batch-wide dead relu unit are redrawn: the loss is flat
     there and central differences resolve only round-off noise.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     configs = (
         (2, 0.0, True, 0.5),    # sigmoid head, batchnorm + dropout
         (3, 0.01, True, 0.0),   # softmax head, batchnorm, with L2

@@ -178,6 +178,7 @@ class TestRun:
         ("learning_rate: 0.001", "learning_rate: true", "optimizer.learning_rate"),
         ("max_epochs: 40", "max_epochs: 40\n  top_k: 5", "training.top_k"),
         ("kind: central", "kind: single\n  institution: 2", "heuristic.institution"),
+        ("kind: central", "kind: central\n  m_values: [1, 1]", "heuristic.m_values"),
     ])
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, old, new, key):
         path = patch_config(tmp_path, **{old: new})
@@ -186,6 +187,31 @@ class TestRun:
         assert err.count("\n") == 1 and err.startswith(f"error: {key}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case,code", [
+        ("config is a directory", 2), ("packet is a directory", 2),
+        ("output dir is a file", 2), ("output dir under a file", 2),
+        ("heuristic raises OSError", 1),
+    ])
+    def test_os_error_exits_with_one_line(self, config_path, tmp_path, capsys,
+                                          monkeypatch, case, code):
+        """An input or output path the OS refuses exits 2 with one line; an
+        OSError inside a heuristic is a failed run and exits 1."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        run = ["run", str(config_path), "--output-dir"]
+        argv = {"config is a directory": ["run", str(tmp_path)],
+                "packet is a directory": ["inspect", str(tmp_path)],
+                "output dir is a file": [*run, str(blocker)],
+                "output dir under a file": [*run, str(blocker / "out")],
+                "heuristic raises OSError": [*run, str(tmp_path / "out")]}[case]
+
+        def failing(*args, **kwargs):
+            raise ConnectionResetError("peer went away")
+        monkeypatch.setattr(cli, "run_heuristic", failing)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_bad_freq_flag_exits_2(self, config_path, capsys):
         assert main(["run", str(config_path), "--freq", "0"]) == 2
@@ -281,6 +307,17 @@ class TestGradcheck:
     def test_fails_at_absurd_tolerance(self, capsys):
         assert main(["gradcheck", "--seeds", "1", "--tolerance", "1e-18"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", ["--seeds 0", "--seeds -3", "--tolerance inf",
+                                      "--tolerance nan", "--tolerance 0",
+                                      "--tolerance -0.5"])
+    def test_bad_argument_exits_2_with_one_line(self, capsys, args):
+        """A check over no seeds, or against a tolerance that is not a finite
+        positive number, says nothing: it is refused before any check runs."""
+        args = args.split()
+        assert main(["gradcheck", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {args[0]}: ")
 
 
 class TestPartition:

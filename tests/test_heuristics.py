@@ -5,7 +5,7 @@ import pytest
 
 from fedcycle import heuristics, transport
 from fedcycle.data import gen_synthetic, normalize
-from fedcycle.heuristics import (ExperimentConfig, _Recorder, accuracy_from_probs,
+from fedcycle.heuristics import (ExperimentConfig, accuracy_from_probs,
                                  ensemble_predict, evaluate, mlp_specs,
                                  predict_proba, run_central,
                                  run_cyclical_weight_transfer, run_ensemble,
@@ -295,15 +295,24 @@ class TestDispatch:
         assert res.transfers == 0
 
 
-class TestRecorder:
-    def test_test_cohort_scored_once(self):
-        split, cfg = tiny_split(), tiny_config()
-        model = init_model(cfg.model_specs, cfg.optimizer, np.random.default_rng(0))
-        rec = _Recorder(cfg, split.validation, split.test)
-        rec.record(model, 1, "A", 0, 1e-3, split.institutions[0])
-        rec.finish(model)
-        with pytest.raises(RuntimeError, match="exactly once"):
-            rec.finish(model)
+class TestScoredOnce:
+    @pytest.mark.parametrize("kind", ["single", "central", "ensemble",
+                                      "single_transfer", "cyclical"])
+    def test_test_cohort_scored_once(self, monkeypatch, kind):
+        """The test cohort is scored once, after training: one pass of the
+        final model, or one pass per member of an ensemble."""
+        split = tiny_split(k=3)
+        test = normalize(split.test)
+        passes = []
+
+        def recording(model, features):
+            if np.array_equal(features, test.features):
+                passes.append(model)
+            return predict_proba(model, features)
+        monkeypatch.setattr(heuristics, "predict_proba", recording)
+        res = run_heuristic(tiny_config(max_epochs=3), split, kind)
+        assert len(passes) == len(res.models) == (3 if kind == "ensemble" else 1)
+        assert all(p is m for p, m in zip(passes, res.models))
 
 
 class TestEvaluate:

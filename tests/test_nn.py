@@ -200,13 +200,19 @@ class TestBackward:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
+        """A draw with a batch-wide dead relu unit is redrawn, as
+        gradcheck_suite does: the loss is flat there and central differences
+        measure only round-off."""
         specs = [LayerSpec("affine", 3, 5), LayerSpec("relu", 5, 5),
                  LayerSpec("sigmoid-head", 5, 1)]
-        rng = np.random.default_rng(seed)
-        m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
-        x = rng.normal(size=(8, 3))
-        if has_flat_relu(m, x):
-            pytest.skip("degenerate draw")
+        for attempt in range(16):
+            rng = np.random.default_rng([seed, attempt] if attempt else seed)
+            m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
+            x = rng.normal(size=(8, 3))
+            if not has_flat_relu(m, x):
+                break
+        else:
+            pytest.fail("no draw without a batch-wide dead relu unit")
         err = grad_check(m, x, rng.integers(0, 2, 8), h=(1e-5, 1e-4, 1e-3))
         assert err < 1e-4
 
@@ -414,6 +420,11 @@ class TestGradCheck:
 
     def test_suite_covers_all_layer_kinds(self):
         assert gradcheck_suite(n_seeds=3) < 1e-4
+
+    @pytest.mark.parametrize("n_seeds", [0, -3])
+    def test_suite_needs_a_seed(self, n_seeds):
+        with pytest.raises(ValueError, match="n_seeds"):
+            gradcheck_suite(n_seeds=n_seeds)
 
     def test_suite_checks_every_kind_head_and_l2_setting(self, monkeypatch):
         checked = []
