@@ -3,11 +3,11 @@ patient-siloed institutions (single, central, ensemble, single weight
 transfer, cyclical weight transfer)."""
 
 from .data import Dataset, augment, export_csv, gen_synthetic, load_csv, normalize
-from .heuristics import (ExperimentConfig, MetricsRow, RunResult, evaluate,
-                         mlp_specs, run_central, run_cyclical_weight_transfer,
-                         run_ensemble, run_scaling_sweep,
-                         run_single_institution, run_single_weight_transfer,
-                         train_on)
+from .heuristics import (ExperimentConfig, MetricsRow, RunResult, ScaledSplit,
+                         evaluate, mlp_specs, run_central,
+                         run_cyclical_weight_transfer, run_ensemble,
+                         run_scaling_sweep, run_single_institution,
+                         run_single_weight_transfer, scale_split, train_on)
 from .nn import (LayerSpec, ModelState, OptimizerConfig, backward,
                  forward, glorot_init, grad_check, init_model, loss, opt_step)
 from .partition import Split, SplitPlan, pool, split_manifest, stratified_split

@@ -12,8 +12,8 @@ from pathlib import Path
 
 from . import transport
 from .config import ConfigError, build_experiment, load_plan, seed_value
-from .data import DegenerateFeatureError, normalize
-from .heuristics import run_heuristic, run_scaling_sweep
+from .data import DegenerateFeatureError
+from .heuristics import run_heuristic, run_scaling_sweep, scale_split
 from .nn import gradcheck_suite
 from .partition import CapacityError, split_manifest, stratified_split
 
@@ -80,9 +80,9 @@ def _write_json(path, payload) -> None:
 
 
 def _prepare(args):
-    """Load the plan and apply the command line to it, then build the dataset
-    and the split, and make the output directory with split_manifest.json in
-    it. Every check of the plan, the command line and the split comes first."""
+    """Load the plan and apply the command line to it, build the dataset and
+    the split, scale its cohorts (not for `partition`), and make the output
+    directory with split_manifest.json in it. Every check comes first."""
     plan = load_plan(args.config)
     kind = plan.heuristic.kind
     if args.command == "run" and kind == "sweep":
@@ -108,17 +108,14 @@ def _prepare(args):
                                                      transport=args.transport))
     dataset, base_cfg = build_experiment(plan)
     split = stratified_split(dataset, plan.split_plan)
-    if args.command != "partition":
-        # every heuristic scales these two cohorts by their own statistics
-        for name in ("validation", "test"):
-            try:
-                normalize(getattr(split, name))
-            except DegenerateFeatureError as exc:
-                raise ConfigError(f"split: the {name} cohort has {exc}") from exc
+    try:
+        scaled = scale_split(split, kind) if args.command != "partition" else None
+    except DegenerateFeatureError as exc:
+        raise ConfigError(f"split: {exc}") from exc
     outdir = Path(plan.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "split_manifest.json", split_manifest(split))
-    return plan, base_cfg, split, outdir
+    return plan, base_cfg, scaled, outdir
 
 
 def cmd_run(args) -> int:

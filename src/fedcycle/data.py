@@ -179,6 +179,8 @@ def load_csv(path: str | os.PathLike) -> Dataset:
     labels = np.array(labels, dtype=np.int64)
     if labels.min() < 0:
         raise CsvParseError(f"{path}: negative label")
+    if labels.min() == labels.max():
+        raise CsvParseError(f"{path}: every label is {labels[0]}; a classifier needs 2 classes")
     return Dataset(np.array(pids), np.array(feats, dtype=np.float64),
                    labels, int(labels.max()) + 1)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transport
-from .data import Dataset, augment, normalize
+from .data import Dataset, DegenerateFeatureError, augment, normalize
 from .nn import (ModelState, OptimizerConfig, OptState, backward, forward,
                  init_model, loss, mlp_specs, opt_step)
 from .partition import Split, pool
@@ -68,6 +68,31 @@ class RunResult:
     test_top_k: float
     transfers: int = 0
     optimizer_steps: int = 0
+
+
+@dataclass(frozen=True)
+class ScaledSplit(Split):
+    """A split with its cohorts scaled for a run, as `scale_split` makes it."""
+    pooled: Dataset | None  # institutions pooled, then scaled; central and ensemble only
+
+
+def scale_split(split: Split, kind: str) -> ScaledSplit:
+    """Each cohort of `split`, and for central and ensemble its pooled institutions,
+    scaled by its own statistics. DegenerateFeatureError names a zero-variance cohort."""
+    cohorts = []
+    for name, cohort in split.cohorts():
+        try:
+            cohorts.append(normalize(cohort))
+        except DegenerateFeatureError as exc:
+            raise DegenerateFeatureError(f"the {name} cohort has {exc}") from exc
+    pooled = normalize(pool(split)) if kind in ("central", "ensemble") else None
+    return ScaledSplit(cohorts[:-2], *cohorts[-2:], pooled)
+
+
+def _scaled(split: ScaledSplit) -> ScaledSplit:
+    if not isinstance(split, ScaledSplit):  # a raw Split's features are unscaled
+        raise TypeError(f"runs take a ScaledSplit (scale_split), got {type(split).__name__}")
+    return split
 
 
 def predict_proba(model: ModelState, features: np.ndarray) -> np.ndarray:
@@ -146,15 +171,6 @@ def _current_lr(cfg: ExperimentConfig, state: PlateauState, epoch_index: int) ->
     return state.current_lr
 
 
-def _eval_cohorts(split: Split):
-    return normalize(split.validation), normalize(split.test)
-
-
-def _normalized_cohorts(split: Split):
-    insts = [normalize(c) for c in split.institutions]
-    return (insts, *_eval_cohorts(split))
-
-
 def _handoff(model: ModelState, cfg: ExperimentConfig, channel, *,
              origin: int, destination: int, global_epoch: int) -> ModelState:
     data = transport.serialize(model, global_epoch=global_epoch, origin=origin,
@@ -224,11 +240,10 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset):
     return model, rows, transfers, steps
 
 
-def _scored_run(cfg: ExperimentConfig, visits, validation: Dataset,
-                test: Dataset) -> RunResult:
+def _scored_run(cfg: ExperimentConfig, visits, split: ScaledSplit) -> RunResult:
     """Train one model over `visits`, then score it on the test cohort once."""
-    model, rows, transfers, steps = _run_visits(cfg, visits, validation)
-    scores = evaluate(model, test, cfg.top_k)
+    model, rows, transfers, steps = _run_visits(cfg, visits, _scaled(split).validation)
+    scores = evaluate(model, split.test, cfg.top_k)
     last = rows[-1]
     return RunResult(models=[model], metrics=rows, train_accuracy=last.train_accuracy,
                      validation_accuracy=last.validation_accuracy,
@@ -236,37 +251,34 @@ def _scored_run(cfg: ExperimentConfig, visits, validation: Dataset,
                      transfers=transfers, optimizer_steps=steps)
 
 
-def run_single_institution(cfg: ExperimentConfig, split: Split, index: int) -> RunResult:
+def run_single_institution(cfg: ExperimentConfig, split: ScaledSplit, index: int) -> RunResult:
     if not (0 <= index < len(split.institutions)):
         raise IndexError(f"institution index {index} out of range")
-    cohort = normalize(split.institutions[index])
-    return _scored_run(cfg, [(index, cohort, cfg.max_epochs)], *_eval_cohorts(split))
+    return _scored_run(cfg, [(index, split.institutions[index], cfg.max_epochs)], split)
 
 
-def run_central(cfg: ExperimentConfig, split: Split) -> RunResult:
-    pooled = normalize(pool(split))
-    return _scored_run(cfg, [(None, pooled, cfg.max_epochs)], *_eval_cohorts(split))
+def run_central(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
+    return _scored_run(cfg, [(None, _scaled(split).pooled, cfg.max_epochs)], split)
 
 
 def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
     return np.mean([_prob_matrix(predict_proba(m, features)) for m in models], axis=0)
 
 
-def run_ensemble(cfg: ExperimentConfig, split: Split) -> RunResult:
+def run_ensemble(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
     """Train one model per institution (seeds seed+i), average output
     probabilities sample-wise, then threshold/argmax."""
-    insts, val, test = _normalized_cohorts(split)
     members, rows, _, steps = zip(*(
-        _run_visits(replace(cfg, seed=cfg.seed + i), [(i, c, cfg.max_epochs)], val)
-        for i, c in enumerate(insts)))
+        _run_visits(replace(cfg, seed=cfg.seed + i), [(i, c, cfg.max_epochs)], split.validation)
+        for i, c in enumerate(_scaled(split).institutions)))
 
     def score(cohort, k=1):
         return accuracy_from_probs(ensemble_predict(members, cohort.features),
                                    cohort.labels, k)
 
-    val_scores = score(val)
-    test_scores = score(test, cfg.top_k)
-    train_scores = score(normalize(pool(split)))
+    val_scores = score(split.validation)
+    test_scores = score(split.test, cfg.top_k)
+    train_scores = score(split.pooled)
     return RunResult(
         models=list(members),
         metrics=[row for member_rows in rows for row in member_rows],
@@ -278,28 +290,27 @@ def run_ensemble(cfg: ExperimentConfig, split: Split) -> RunResult:
     )
 
 
-def run_single_weight_transfer(cfg: ExperimentConfig, split: Split) -> RunResult:
+def run_single_weight_transfer(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
     """Visit institutions once, in index order, training each to a
     validation plateau (per-institution patience, no decay mid-visit); the
     decay ladder advances at each transfer; plateau at the last institution
     terminates."""
-    insts, val, test = _normalized_cohorts(split)
-    return _scored_run(cfg, [(i, cohort, None) for i, cohort in enumerate(insts)], val, test)
+    visits = [(i, cohort, None) for i, cohort in enumerate(split.institutions)]
+    return _scored_run(cfg, visits, split)
 
 
-def run_cyclical_weight_transfer(cfg: ExperimentConfig, split: Split,
+def run_cyclical_weight_transfer(cfg: ExperimentConfig, split: ScaledSplit,
                                  freq: int) -> RunResult:
     """Round-robin over institutions, `freq` epochs per visit, with a global
     plateau schedule scaled by the institution count."""
     if freq < 1:
         raise ValueError("weight transfer frequency must be >= 1")
-    insts, val, test = _normalized_cohorts(split)
-    cfg = replace(cfg, plateau=replace(cfg.plateau, patience_scale=len(insts)))
-    visits = itertools.cycle([(i, cohort, freq) for i, cohort in enumerate(insts)])
-    return _scored_run(cfg, visits, val, test)
+    cfg = replace(cfg, plateau=replace(cfg.plateau, patience_scale=len(split.institutions)))
+    visits = itertools.cycle([(i, cohort, freq) for i, cohort in enumerate(split.institutions)])
+    return _scored_run(cfg, visits, split)
 
 
-def run_scaling_sweep(cfg: ExperimentConfig, split: Split, m_values,
+def run_scaling_sweep(cfg: ExperimentConfig, split: ScaledSplit, m_values,
                       freq: int = 1) -> list:
     """Cyclical weight transfer over the first m institutions, per m."""
     m_values = list(m_values)
@@ -307,14 +318,13 @@ def run_scaling_sweep(cfg: ExperimentConfig, split: Split, m_values,
         raise ValueError("m_values must be non-empty and within the split size")
     rows = []
     for m in m_values:
-        sub = Split(institutions=split.institutions[:m],
-                    validation=split.validation, test=split.test)
+        sub = replace(split, institutions=split.institutions[:m])
         res = run_cyclical_weight_transfer(cfg, sub, freq)
         rows.append((m, res.test_accuracy))
     return rows
 
 
-def run_heuristic(cfg: ExperimentConfig, split: Split, kind: str, *,
+def run_heuristic(cfg: ExperimentConfig, split: ScaledSplit, kind: str, *,
                   institution: int = 0, frequency: int = 1) -> RunResult:
     if kind == "single":
         return run_single_institution(cfg, split, institution)

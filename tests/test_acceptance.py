@@ -2,20 +2,24 @@
 
 Exact invariants (gradients, serialization, scheduling, equivalences) plus
 ordering reproductions on a synthetic desk-scale task. Each test prints one
-PASS/FAIL line. The ordering tests share one batch of training runs, so the
-module is slowest on first collection (a few minutes total).
+PASS/FAIL line. The ordering tests share one batch of training runs, made
+in two worker processes, so the module is slowest on first collection (a
+minute or two in total).
 """
+import multiprocessing
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from fedcycle.data import gen_synthetic, normalize
+from fedcycle.data import gen_synthetic
 from fedcycle.heuristics import (ExperimentConfig, ensemble_predict, evaluate,
                                  mlp_specs, run_central,
                                  run_cyclical_weight_transfer, run_ensemble,
                                  run_scaling_sweep, run_single_institution,
-                                 run_single_weight_transfer)
+                                 run_single_weight_transfer, scale_split)
 from fedcycle.nn import (LayerSpec, OptimizerConfig, gradcheck_suite,
                          init_model)
 from fedcycle.partition import SplitPlan, split_manifest, stratified_split
@@ -57,26 +61,37 @@ def desk_config(seed, **overrides):
     return ExperimentConfig(**kwargs)
 
 
+def desk_seed_results(seed):
+    """One seed's test accuracies for every heuristic and CWT frequency."""
+    split = scale_split(desk_split(seed), "central")
+    cfg = desk_config(seed)
+    out = {"central": run_central(cfg, split).test_accuracy, "cwt": {}}
+    for freq in HIGH_FREQS + LOW_FREQS:
+        out["cwt"][freq] = run_cyclical_weight_transfer(cfg, split, freq).test_accuracy
+    out["swt"] = run_single_weight_transfer(cfg, split).test_accuracy
+    ens = run_ensemble(cfg, split)
+    out["ensemble"] = ens.test_accuracy
+    # the ensemble members are exactly the per-institution models, so the
+    # institutional baseline reuses them instead of retraining
+    singles = [evaluate(m, split.test)["top1"] for m in ens.models]
+    out["single_mean"] = float(np.mean(singles))
+    return out
+
+
 @pytest.fixture(scope="module")
 def desk_results():
-    """Per-seed test accuracies for every heuristic and CWT frequency."""
-    out = {"central": [], "cwt": {f: [] for f in HIGH_FREQS + LOW_FREQS},
-           "swt": [], "ensemble": [], "single_mean": []}
-    for seed in DESK_SEEDS:
-        split = desk_split(seed)
-        cfg = desk_config(seed)
-        out["central"].append(run_central(cfg, split).test_accuracy)
-        for freq in HIGH_FREQS + LOW_FREQS:
-            acc = run_cyclical_weight_transfer(cfg, split, freq).test_accuracy
-            out["cwt"][freq].append(acc)
-        out["swt"].append(run_single_weight_transfer(cfg, split).test_accuracy)
-        ens = run_ensemble(cfg, split)
-        out["ensemble"].append(ens.test_accuracy)
-        # the ensemble members are exactly the per-institution models, so the
-        # institutional baseline reuses them instead of retraining
-        test_norm = normalize(split.test)
-        singles = [evaluate(m, test_norm)["top1"] for m in ens.models]
-        out["single_mean"].append(float(np.mean(singles)))
+    """Per-seed test accuracies for every heuristic and CWT frequency. Each
+    seed is a pure function of its number, so two worker processes share the
+    seeds; the pool is shut down before the fixture returns, so no timed
+    test shares the CPU with it. The workers turn a RuntimeWarning into an
+    error, as the test run does."""
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=warnings.simplefilter,
+                             initargs=("error", RuntimeWarning)) as workers:
+        per_seed = list(workers.map(desk_seed_results, DESK_SEEDS))
+    out = {key: [r[key] for r in per_seed]
+           for key in ("central", "swt", "ensemble", "single_mean")}
+    out["cwt"] = {f: [r["cwt"][f] for r in per_seed] for f in HIGH_FREQS + LOW_FREQS}
     return out
 
 
@@ -103,7 +118,7 @@ class TestCriterion2:
                            rng=np.random.default_rng([3, 2]))
         plan = SplitPlan(k=1, patients_per_institution=100,
                          patients_validation=60, patients_test=60, seed=3)
-        split = stratified_split(ds, plan)
+        split = scale_split(stratified_split(ds, plan), "central")
         cfg = desk_config(3, model_specs=mlp_specs(8, [16], 2), max_epochs=400,
                           plateau=PlateauPolicy(10, 0.25, 2))
         central = run_central(cfg, split)
@@ -167,7 +182,7 @@ class TestCriterion5:
                                patient_spread=0.25, sample_jitter=0.2)
             plan = SplitPlan(k=16, patients_per_institution=40,
                              patients_validation=300, patients_test=300, seed=seed)
-            split = stratified_split(ds, plan)
+            split = scale_split(stratified_split(ds, plan), "sweep")
             rows = run_scaling_sweep(desk_config(seed), split, m_values, freq=1)
             curves.append([acc for _, acc in rows])
         mean = np.mean(curves, axis=0)
@@ -268,7 +283,7 @@ class TestCriterion7:
                            rng=np.random.default_rng([1, 2]))
         plan = SplitPlan(k=2, patients_per_institution=40,
                          patients_validation=30, patients_test=30, seed=1)
-        split = stratified_split(ds, plan)
+        split = scale_split(stratified_split(ds, plan), "cyclical")
         rows = {}
         for transport_kind in ("memory", "socket"):
             cfg = desk_config(1, model_specs=mlp_specs(4, [8], 2),
@@ -336,7 +351,7 @@ class TestCriterion9:
         split = stratified_split(ds, plan)
         cfg = desk_config(5, model_specs=mlp_specs(8, [16], 2),
                           plateau=PlateauPolicy(5, 0.25, 1), max_epochs=60)
-        model = run_single_institution(cfg, split, 0).models[0]
+        model = run_single_institution(cfg, scale_split(split, "single"), 0).models[0]
         features = split.test.features
         single = ensemble_predict([model], features)
         copies = ensemble_predict([model] * len(split.institutions), features)

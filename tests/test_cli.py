@@ -46,6 +46,8 @@ heuristic:
   kind: central
 seeds: [1]
 """
+DATASET = CONFIG[CONFIG.index("dataset:"):CONFIG.index("split:")]
+DEMO = Path(__file__).resolve().parents[1] / "configs" / "quick_demo.yaml"
 
 
 @pytest.fixture
@@ -63,6 +65,20 @@ def patch_config(tmp_path, **replacements):
     path = tmp_path / "patched.yaml"
     path.write_text(text)
     return path
+
+
+def csv_config(tmp_path, patients, **replacements):
+    """CONFIG over a CSV dataset: patient i has label patients[i][0] and
+    patients[i][1] samples of three random features."""
+    rng = np.random.default_rng(0)
+    rows = ["patient_id,label,f0,f1,f2"]
+    for i, (label, samples) in enumerate(patients):
+        rows += [f"p{i},{label}," + ",".join(repr(float(v)) for v in rng.normal(size=3))
+                 for _ in range(samples)]
+    data = tmp_path / "cohort.csv"
+    data.write_text("\n".join(rows) + "\n")
+    return patch_config(tmp_path, **{DATASET: f"dataset:\n  kind: csv\n  path: {data}\n"},
+                        **replacements)
 
 
 class TestRun:
@@ -235,23 +251,65 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "partition"])
-    def test_degenerate_test_cohort_refused_at_set_up(self, tmp_path, capsys, command):
-        """A one-sample test cohort has no spread to scale by: `run` and
-        `sweep` exit 2 naming it and write nothing; `partition` needs no
-        scaling and writes its manifest."""
-        edits = {"samples_per_patient: 2": "samples_per_patient: 1",
-                 "patients_test: 20": "patients_test: 1"}
-        if command == "sweep":
-            edits["kind: central"] = "kind: sweep\n  m_values: [1, 2]"
-        path = patch_config(tmp_path, **edits)
+    @pytest.mark.parametrize("command,case", [
+        ("run", "test"), ("sweep", "test"), ("partition", "test"),
+        ("run", "demo"), ("sweep", "demo"), ("partition", "demo"),
+        ("run", "other"), ("sweep", "other"),
+    ], ids=["run", "sweep", "partition", "run-demo", "sweep-demo", "partition-demo",
+            "single-other", "sweep-other"])
+    def test_degenerate_test_cohort_refused_at_set_up(self, tmp_path, capsys, command, case):
+        """A cohort with a zero-variance feature has no spread to scale by:
+        `run` and `sweep` exit 2 naming it as split_manifest.json does and
+        write nothing, whichever cohorts the kind trains on; `partition`
+        needs no scaling and writes its manifest. Cases: a one-sample test
+        cohort; the quick demo with one one-sample patient per institution;
+        only institution 1 degenerate, under `single` on institution 0 and a
+        sweep of m = 1."""
+        sweep = "kind: sweep\n  m_values: [1, 2]"
+        if case == "test":
+            edits = {"samples_per_patient: 2": "samples_per_patient: 1",
+                     "patients_test: 20": "patients_test: 1"}
+            if command == "sweep":
+                edits["kind: central"] = sweep
+            path = patch_config(tmp_path, **edits)
+            cohort, features = "test", "f0, f1, f2"
+        elif case == "demo":
+            text = DEMO.read_text().replace("samples_per_patient: 2", "samples_per_patient: 1")
+            text = text.replace("patients_per_institution: 40", "patients_per_institution: 1")
+            if command == "sweep":
+                text = text.replace("kind: cyclical", sweep)
+            path = tmp_path / "demo.yaml"
+            path.write_text(text)
+            cohort, features = "institution_0", "f0, f1, f2, f3"
+        else:
+            # class-0 patients have two samples, class-1 patients one, and a
+            # one-patient institution i draws a class-i patient
+            kind = "kind: sweep\n  m_values: [1]" if command == "sweep" else \
+                "kind: single\n  institution: 0"
+            path = csv_config(tmp_path, [(c, 2 - c) for c in (0, 1) * 4], **{
+                "kind: central": kind,
+                "patients_per_institution: 20": "patients_per_institution: 1",
+                "patients_validation: 20": "patients_validation: 2",
+                "patients_test: 20": "patients_test: 2"})
+            cohort, features = "institution_1", "f0, f1, f2"
         code = main([command, str(path), "--output-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         if command == "partition":
             assert code == 0 and (tmp_path / "out" / "split_manifest.json").exists()
         else:
             assert code == 2 and not (tmp_path / "out").exists()
-            assert err == "error: split: the test cohort has zero-variance feature(s): f0, f1, f2\n"
+            assert err == f"error: split: the {cohort} cohort has zero-variance feature(s): " \
+                          f"{features}\n"
+
+    def test_single_class_csv_refused_at_load(self, tmp_path, capsys):
+        """A CSV dataset whose labels are all one class cannot train a
+        classifier: exit 2 with one line, before any output."""
+        path = csv_config(tmp_path, [(0, 2)] * 8)
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: dataset: ")
+        assert "2 classes" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:
@@ -358,7 +416,7 @@ class TestInspect:
 def _run_digests(tmp_path, kind, transport, edits=()):
     """sha256 of the files one seed-0 run of configs/quick_demo.yaml writes,
     with each (old, new) line of `edits` replaced first."""
-    text = (Path(__file__).resolve().parents[1] / "configs" / "quick_demo.yaml").read_text()
+    text = DEMO.read_text()
     for old, new in (("kind: cyclical", f"kind: {kind}"), *edits):
         assert text.count(old) == 1
         text = text.replace(old, new)

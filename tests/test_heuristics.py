@@ -1,19 +1,20 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedcycle import heuristics, transport
-from fedcycle.data import gen_synthetic, normalize
+from fedcycle import cli, heuristics, transport
+from fedcycle.data import concat, gen_synthetic, normalize
 from fedcycle.heuristics import (ExperimentConfig, accuracy_from_probs,
                                  ensemble_predict, evaluate, mlp_specs,
                                  predict_proba, run_central,
                                  run_cyclical_weight_transfer, run_ensemble,
                                  run_heuristic, run_scaling_sweep,
                                  run_single_institution,
-                                 run_single_weight_transfer)
+                                 run_single_weight_transfer, scale_split)
 from fedcycle.nn import LayerSpec, OptimizerConfig, init_model
-from fedcycle.partition import SplitPlan, stratified_split
+from fedcycle.partition import SplitPlan, pool, stratified_split
 from fedcycle.schedule import PlateauPolicy
 
 
@@ -24,6 +25,11 @@ def tiny_split(seed=0, k=2, num_classes=2):
     plan = SplitPlan(k=k, patients_per_institution=20, patients_validation=20,
                      patients_test=20, seed=seed)
     return stratified_split(ds, plan)
+
+
+def tiny_scaled(kind, **kwargs):
+    """tiny_split(**kwargs) scaled for a run of `kind`."""
+    return scale_split(tiny_split(**kwargs), kind)
 
 
 def tiny_config(num_classes=2, **overrides):
@@ -85,7 +91,7 @@ class TestMlpSpecs:
 
 class TestSingleAndCentral:
     def test_single_deterministic(self):
-        split = tiny_split()
+        split = tiny_scaled("single")
         a = run_single_institution(tiny_config(), split, 0)
         b = run_single_institution(tiny_config(), split, 0)
         assert a.test_accuracy == b.test_accuracy
@@ -94,10 +100,10 @@ class TestSingleAndCentral:
 
     def test_single_index_out_of_range(self):
         with pytest.raises(IndexError):
-            run_single_institution(tiny_config(), tiny_split(), 5)
+            run_single_institution(tiny_config(), tiny_scaled("single"), 5)
 
     def test_metrics_rows_well_formed(self):
-        res = run_central(tiny_config(), tiny_split())
+        res = run_central(tiny_config(), tiny_scaled("central"))
         assert [r.global_epoch for r in res.metrics] == \
             list(range(1, len(res.metrics) + 1))
         assert all(r.institution is None for r in res.metrics)
@@ -105,7 +111,7 @@ class TestSingleAndCentral:
         assert res.metrics[0].learning_rate == 1e-3
 
     def test_lr_decays_along_run(self):
-        res = run_central(tiny_config(), tiny_split())
+        res = run_central(tiny_config(), tiny_scaled("central"))
         lrs = [r.learning_rate for r in res.metrics]
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
 
@@ -116,56 +122,75 @@ class TestSingleAndCentral:
         plan = SplitPlan(k=2, patients_per_institution=20,
                          patients_validation=20, patients_test=20, seed=0)
         cfg = tiny_config(plateau=PlateauPolicy(10, 0.25, 2), max_epochs=150)
-        res = run_central(cfg, stratified_split(ds, plan))
+        res = run_central(cfg, scale_split(stratified_split(ds, plan), "central"))
         assert res.test_accuracy >= 0.95
 
     def test_result_fields_in_range(self):
-        res = run_central(tiny_config(), tiny_split())
+        res = run_central(tiny_config(), tiny_scaled("central"))
         for value in (res.train_accuracy, res.validation_accuracy,
                       res.test_accuracy, res.test_top_k):
             assert 0.0 <= value <= 1.0
         assert res.optimizer_steps > 0
         assert res.transfers == 0
 
-    @pytest.mark.parametrize("kind", ["central", "single"])
-    def test_normalizes_only_cohorts_it_uses(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind", ["central", "single", "ensemble",
+                                      "single_transfer", "cyclical"])
+    def test_normalizes_only_cohorts_it_uses(self, monkeypatch, tmp_path, kind):
+        """A 3-seed `fedcycle run` scales each of its k + 2 cohorts once, at
+        set-up, and the pool once more for central and ensemble."""
         calls = []
 
         def counting(cohort):
             calls.append(len(cohort))
             return normalize(cohort)
         monkeypatch.setattr(heuristics, "normalize", counting)
-        run_heuristic(tiny_config(max_epochs=2), tiny_split(k=4), kind, institution=2)
-        assert len(calls) == 3  # the cohort it trains on, validation and test
+        doc = {"dataset": {"kind": "rings", "n_patients": 240, "feature_dim": 3},
+               "split": {"k": 4, "patients_per_institution": 20,
+                         "patients_validation": 20, "patients_test": 20},
+               "model": {"hidden": [8]},
+               "optimizer": {"kind": "adam", "learning_rate": 1e-3},
+               "schedule": {"patience": 3, "max_decays": 1},
+               "training": {"batch_size": 16, "max_epochs": 2},
+               "heuristic": {"kind": kind, "institution": 2}, "seeds": [1, 2, 3]}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 4 + 2 + (kind in ("central", "ensemble"))
 
     @pytest.mark.parametrize("kind", ["single", "central", "ensemble",
                                       "single_transfer", "cyclical"])
-    def test_each_site_normalizes_locally(self, monkeypatch, kind):
+    def test_each_site_normalizes_locally(self, kind):
         """Every cohort a heuristic uses, validation and test included, is
-        normalized by its own statistics, never by another cohort's."""
+        normalized by its own statistics, never by another cohort's; the pool
+        of central and ensemble is the raw pool normalized as one cohort."""
         split = tiny_split(k=3)
-        cohorts = []
-
-        def recording(cohort):
-            cohorts.append(cohort)
-            return normalize(cohort)
-        monkeypatch.setattr(heuristics, "normalize", recording)
-        run_heuristic(tiny_config(max_epochs=2), split, kind)
-        assert any(c is split.validation for c in cohorts)
-        assert any(c is split.test for c in cohorts)
+        scaled = scale_split(split, kind)
+        names = [name for name, _ in split.cohorts()]
+        assert [name for name, _ in scaled.cohorts()] == names
+        for (_, raw), (_, cohort) in zip(split.cohorts(), scaled.cohorts()):
+            assert cohort.features.tobytes() == normalize(raw).features.tobytes()
+            assert np.array_equal(cohort.labels, raw.labels)
+        if kind in ("central", "ensemble"):
+            assert scaled.pooled.features.tobytes() == \
+                normalize(pool(split)).features.tobytes()
+            # pooling the scaled institutions would give other bits
+            assert not np.array_equal(scaled.pooled.features,
+                                      concat(scaled.institutions).features)
+        else:
+            assert scaled.pooled is None
 
 
 class TestEnsemble:
     def test_members_differ_by_seed(self):
-        res = run_ensemble(tiny_config(), tiny_split())
+        res = run_ensemble(tiny_config(), tiny_scaled("ensemble"))
         assert len(res.models) == 2
         w0 = res.models[0].params[0]["W"]
         w1 = res.models[1].params[0]["W"]
         assert not np.array_equal(w0, w1)
 
     def test_members_leave_test_cohort_unscored(self, monkeypatch):
-        split = tiny_split(k=4)
-        test = normalize(split.test)
+        split = tiny_scaled("ensemble", k=4)
+        test = split.test
         test_evaluations = []
 
         def counting(model, cohort, k=1):
@@ -180,7 +205,7 @@ class TestEnsemble:
 
     def test_identical_members_match_single_model(self):
         split = tiny_split()
-        res = run_single_institution(tiny_config(), split, 0)
+        res = run_single_institution(tiny_config(), scale_split(split, "single"), 0)
         model = res.models[0]
         test_features = split.test.features
         merged = ensemble_predict([model] * 4, test_features)
@@ -206,25 +231,25 @@ class TestSingleWeightTransfer:
                            plateau=PlateauPolicy(3, 0.25, 1), max_epochs=100)
 
     def test_visits_in_order_with_k_minus_1_transfers(self):
-        split = tiny_split(k=3)
+        split = tiny_scaled("single_transfer", k=3)
         res = run_single_weight_transfer(self.frozen_config(), split)
         assert res.transfers == 2
         visited = [r.institution for r in res.metrics]
         assert visited == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
     def test_epochs_are_contiguous(self):
-        res = run_single_weight_transfer(self.frozen_config(), tiny_split(k=3))
+        res = run_single_weight_transfer(self.frozen_config(), tiny_scaled("single_transfer", k=3))
         assert [r.global_epoch for r in res.metrics] == \
             list(range(1, len(res.metrics) + 1))
 
     def test_decay_ladder_advances_at_transfers(self):
-        res = run_single_weight_transfer(self.frozen_config(), tiny_split(k=3))
+        res = run_single_weight_transfer(self.frozen_config(), tiny_scaled("single_transfer", k=3))
         # one decay available: phase B from the first plateau onward
         assert [r.phase for r in res.metrics] == ["A"] * 3 + ["B"] * 6
 
     def test_no_transfer_after_epoch_budget(self):
         cfg = replace(self.frozen_config(), max_epochs=4)
-        res = run_single_weight_transfer(cfg, tiny_split(k=4))
+        res = run_single_weight_transfer(cfg, tiny_scaled("single_transfer", k=4))
         assert [r.institution for r in res.metrics] == [0, 0, 0, 1]
         assert res.transfers == 1
 
@@ -232,14 +257,14 @@ class TestSingleWeightTransfer:
 class TestCyclicalWeightTransfer:
     def test_visit_lengths_match_frequency(self):
         for freq in (1, 2, 3):
-            res = run_cyclical_weight_transfer(tiny_config(), tiny_split(), freq)
+            res = run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), freq)
             insts = [r.institution for r in res.metrics]
             # institution changes exactly at multiples of freq (round robin)
             for e, inst in enumerate(insts):
                 assert inst == (e // freq) % 2
 
     def test_transfer_count_matches_visits(self):
-        res = run_cyclical_weight_transfer(tiny_config(), tiny_split(), 2)
+        res = run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), 2)
         visits = int(np.ceil(len(res.metrics) / 2))
         assert res.transfers in (visits - 1, visits)
 
@@ -248,23 +273,23 @@ class TestCyclicalWeightTransfer:
         # (max_decays+1) * patience * K epochs
         cfg = tiny_config(optimizer=OptimizerConfig("adam", 1e-300),
                           plateau=PlateauPolicy(2, 0.25, 1), max_epochs=100)
-        res = run_cyclical_weight_transfer(cfg, tiny_split(k=2), 1)
+        res = run_cyclical_weight_transfer(cfg, tiny_scaled("cyclical", k=2), 1)
         assert len(res.metrics) == (1 + 1) * 2 * 2
 
     def test_bad_frequency(self):
         with pytest.raises(ValueError):
-            run_cyclical_weight_transfer(tiny_config(), tiny_split(), 0)
+            run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), 0)
 
     def test_deterministic(self):
-        a = run_cyclical_weight_transfer(tiny_config(), tiny_split(), 2)
-        b = run_cyclical_weight_transfer(tiny_config(), tiny_split(), 2)
+        a = run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), 2)
+        b = run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), 2)
         assert [r.validation_loss for r in a.metrics] == \
             [r.validation_loss for r in b.metrics]
 
 
 class TestScalingSweep:
     def test_returns_one_row_per_m(self):
-        split = tiny_split(k=3)
+        split = tiny_scaled("sweep", k=3)
         rows = run_scaling_sweep(tiny_config(), split, [1, 2, 3])
         assert [m for m, _ in rows] == [1, 2, 3]
         for _, acc in rows:
@@ -272,26 +297,39 @@ class TestScalingSweep:
 
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
-            run_scaling_sweep(tiny_config(), tiny_split(k=2), [3])
+            run_scaling_sweep(tiny_config(), tiny_scaled("sweep", k=2), [3])
 
 
 class TestDispatch:
     @pytest.mark.parametrize("kind", ["single", "central", "ensemble",
                                       "single_transfer", "cyclical"])
     def test_known_kinds(self, kind):
-        res = run_heuristic(tiny_config(), tiny_split(), kind)
+        res = run_heuristic(tiny_config(), tiny_scaled(kind), kind)
         assert 0.0 <= res.test_accuracy <= 1.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            run_heuristic(tiny_config(), tiny_split(), "gossip")
+            run_heuristic(tiny_config(), tiny_scaled("central"), "gossip")
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg, split: run_single_institution(cfg, split, 0), run_central, run_ensemble,
+        run_single_weight_transfer, lambda cfg, split: run_cyclical_weight_transfer(cfg, split, 1),
+        lambda cfg, split: run_scaling_sweep(cfg, split, [1, 2]),
+    ], ids=["single", "central", "ensemble", "single_transfer", "cyclical", "sweep"])
+    def test_raw_split_refused_before_training(self, monkeypatch, run):
+        """A raw Split has unscaled features: every run refuses it before it
+        builds a model."""
+        monkeypatch.setattr(heuristics, "_build_model",
+                            lambda cfg: pytest.fail("a run began on a raw Split"))
+        with pytest.raises(TypeError, match="ScaledSplit"):
+            run(tiny_config(), tiny_split())
 
     @pytest.mark.parametrize("kind", ["single", "central", "ensemble"])
     def test_no_channel_without_handoff(self, kind, monkeypatch):
         def refuse(_kind):
             pytest.fail("a run without hand-offs opened a channel")
         monkeypatch.setattr(transport, "make_channel", refuse)
-        res = run_heuristic(tiny_config(transport="socket"), tiny_split(), kind)
+        res = run_heuristic(tiny_config(transport="socket"), tiny_scaled(kind), kind)
         assert res.transfers == 0
 
 
@@ -301,8 +339,8 @@ class TestScoredOnce:
     def test_test_cohort_scored_once(self, monkeypatch, kind):
         """The test cohort is scored once, after training: one pass of the
         final model, or one pass per member of an ensemble."""
-        split = tiny_split(k=3)
-        test = normalize(split.test)
+        split = tiny_scaled(kind, k=3)
+        test = split.test
         passes = []
 
         def recording(model, features):
@@ -318,7 +356,7 @@ class TestScoredOnce:
 class TestEvaluate:
     def test_evaluate_matches_predict_proba(self):
         split = tiny_split()
-        model = run_single_institution(tiny_config(), split, 0).models[0]
+        model = run_single_institution(tiny_config(), scale_split(split, "single"), 0).models[0]
         probs = predict_proba(model, split.test.features)
         assert evaluate(model, split.test) == \
             accuracy_from_probs(probs, split.test.labels)
