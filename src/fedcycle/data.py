@@ -127,13 +127,17 @@ def gen_synthetic(kind: str, n_patients: int, samples_per_patient: int = 2,
 
 def normalize(cohort: Dataset) -> Dataset:
     """The cohort scaled to zero-mean unit-std features by its own
-    statistics; population std (divide by n)."""
-    mean = cohort.features.mean(axis=0)
-    std = cohort.features.std(axis=0)
-    dead = np.nonzero(std <= 0.0)[0]
-    if dead.size:
-        raise DegenerateFeatureError(
-            f"zero-variance feature(s): {', '.join(f'f{i}' for i in dead)}")
+    statistics; population std (divide by n). A spread of 0 or one that
+    overflows float64 leaves nothing to scale by."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = cohort.features.mean(axis=0)
+        std = cohort.features.std(axis=0)
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    for problem, bad in (("a mean or std that overflows float64 in", overflow),
+                         ("zero-variance", std <= 0.0)):
+        if bad.any():
+            raise DegenerateFeatureError(
+                f"{problem} feature(s): {', '.join(f'f{i}' for i in np.nonzero(bad)[0])}")
     return Dataset(cohort.patient_ids, (cohort.features - mean) / std,
                    cohort.labels, cohort.num_classes)
 

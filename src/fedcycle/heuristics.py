@@ -78,7 +78,7 @@ class ScaledSplit(Split):
 
 def scale_split(split: Split, kind: str) -> ScaledSplit:
     """Each cohort of `split`, and for central and ensemble its pooled institutions,
-    scaled by its own statistics. DegenerateFeatureError names a zero-variance cohort."""
+    scaled by its own statistics. DegenerateFeatureError names a cohort normalize refuses."""
     cohorts = []
     for name, cohort in split.cohorts():
         try:
@@ -89,9 +89,12 @@ def scale_split(split: Split, kind: str) -> ScaledSplit:
     return ScaledSplit(cohorts[:-2], *cohorts[-2:], pooled)
 
 
-def _scaled(split: ScaledSplit) -> ScaledSplit:
+def _scaled(split: ScaledSplit, pooled: bool = False) -> ScaledSplit:
     if not isinstance(split, ScaledSplit):  # a raw Split's features are unscaled
         raise TypeError(f"runs take a ScaledSplit (scale_split), got {type(split).__name__}")
+    if pooled and split.pooled is None:
+        raise TypeError("central and ensemble runs take scale_split(split, 'central') "
+                        "or scale_split(split, 'ensemble'); this split has no pool")
     return split
 
 
@@ -172,11 +175,10 @@ def _current_lr(cfg: ExperimentConfig, state: PlateauState, epoch_index: int) ->
 
 
 def _handoff(model: ModelState, cfg: ExperimentConfig, channel, *,
-             origin: int, destination: int, global_epoch: int) -> ModelState:
+             origin: int, global_epoch: int) -> ModelState:
     data = transport.serialize(model, global_epoch=global_epoch, origin=origin,
                                carry_opt_state=cfg.carry_opt_state)
-    delivered = channel.handoff(data, origin=origin, destination=destination,
-                                global_epoch=global_epoch)
+    delivered = channel.handoff(data)
     new_model, _ = transport.deserialize(delivered, model.specs)
     if not cfg.carry_opt_state:
         new_model.opt_state = OptState.zeros(cfg.optimizer.kind, new_model.layout.size)
@@ -211,8 +213,7 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset):
                 break
             if n:
                 channel = channel or transport.make_channel(cfg.transport)
-                model = _handoff(model, cfg, channel, origin=origin,
-                                 destination=institution, global_epoch=epoch)
+                model = _handoff(model, cfg, channel, origin=origin, global_epoch=epoch)
                 transfers += 1
                 if epochs is None:
                     state.epochs_since_improve = 0
@@ -258,7 +259,7 @@ def run_single_institution(cfg: ExperimentConfig, split: ScaledSplit, index: int
 
 
 def run_central(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
-    return _scored_run(cfg, [(None, _scaled(split).pooled, cfg.max_epochs)], split)
+    return _scored_run(cfg, [(None, _scaled(split, pooled=True).pooled, cfg.max_epochs)], split)
 
 
 def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
@@ -270,7 +271,7 @@ def run_ensemble(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
     probabilities sample-wise, then threshold/argmax."""
     members, rows, _, steps = zip(*(
         _run_visits(replace(cfg, seed=cfg.seed + i), [(i, c, cfg.max_epochs)], split.validation)
-        for i, c in enumerate(_scaled(split).institutions)))
+        for i, c in enumerate(_scaled(split, pooled=True).institutions)))
 
     def score(cohort, k=1):
         return accuracy_from_probs(ensemble_predict(members, cohort.features),

@@ -280,25 +280,10 @@ def recv_frame(sock: socket.socket) -> bytes:
     return data
 
 
-@dataclass(frozen=True)
-class TransferRecord:
-    index: int
-    origin: int
-    destination: int
-    global_epoch: int
-    nbytes: int
-
-
 class MemoryChannel:
     """In-process hand-off by value."""
 
-    def __init__(self):
-        self.log = []
-
-    def handoff(self, data: bytes, *, origin: int, destination: int,
-                global_epoch: int) -> bytes:
-        self.log.append(TransferRecord(len(self.log), origin, destination,
-                                       global_epoch, len(data)))
+    def handoff(self, data: bytes) -> bytes:
         return bytes(data)
 
     def close(self):
@@ -326,7 +311,6 @@ class SocketChannel:
         import socket
         import threading
 
-        self.log = []
         self._server = socket.create_server(("127.0.0.1", 0))
         port = self._server.getsockname()[1]
         self._thread = threading.Thread(target=self._serve, daemon=True)
@@ -348,8 +332,7 @@ class SocketChannel:
                 except TransferFailedError:
                     return
 
-    def handoff(self, data: bytes, *, origin: int, destination: int,
-                global_epoch: int) -> bytes:
+    def handoff(self, data: bytes) -> bytes:
         send_frame(self._sock, data)
         try:
             back = recv_frame(self._sock)
@@ -357,8 +340,6 @@ class SocketChannel:
             raise TransferFailedError(f"receive failed: {exc}") from exc
         if back != data:
             raise CorruptionError("loopback frame mismatch")
-        self.log.append(TransferRecord(len(self.log), origin, destination,
-                                       global_epoch, len(data)))
         return back
 
     def close(self):

@@ -67,13 +67,13 @@ def patch_config(tmp_path, **replacements):
     return path
 
 
-def csv_config(tmp_path, patients, **replacements):
+def csv_config(tmp_path, patients, scale=1.0, **replacements):
     """CONFIG over a CSV dataset: patient i has label patients[i][0] and
-    patients[i][1] samples of three random features."""
+    patients[i][1] samples of three random features, times `scale`."""
     rng = np.random.default_rng(0)
     rows = ["patient_id,label,f0,f1,f2"]
     for i, (label, samples) in enumerate(patients):
-        rows += [f"p{i},{label}," + ",".join(repr(float(v)) for v in rng.normal(size=3))
+        rows += [f"p{i},{label}," + ",".join(repr(float(v)) for v in rng.normal(size=3) * scale)
                  for _ in range(samples)]
     data = tmp_path / "cohort.csv"
     data.write_text("\n".join(rows) + "\n")
@@ -254,18 +254,21 @@ class TestRun:
     @pytest.mark.parametrize("command,case", [
         ("run", "test"), ("sweep", "test"), ("partition", "test"),
         ("run", "demo"), ("sweep", "demo"), ("partition", "demo"),
-        ("run", "other"), ("sweep", "other"),
+        ("run", "other"), ("sweep", "other"), ("run", "wide"), ("run", "wide-csv"),
     ], ids=["run", "sweep", "partition", "run-demo", "sweep-demo", "partition-demo",
-            "single-other", "sweep-other"])
+            "single-other", "sweep-other", "run-wide", "run-wide-csv"])
     def test_degenerate_test_cohort_refused_at_set_up(self, tmp_path, capsys, command, case):
-        """A cohort with a zero-variance feature has no spread to scale by:
-        `run` and `sweep` exit 2 naming it as split_manifest.json does and
-        write nothing, whichever cohorts the kind trains on; `partition`
-        needs no scaling and writes its manifest. Cases: a one-sample test
-        cohort; the quick demo with one one-sample patient per institution;
-        only institution 1 degenerate, under `single` on institution 0 and a
-        sweep of m = 1."""
+        """A cohort with a zero-variance feature, or one whose spread
+        overflows float64, has no spread to scale by: `run` and `sweep` exit
+        2 naming it as split_manifest.json does and write nothing, whichever
+        cohorts the kind trains on; `partition` needs no scaling and writes
+        its manifest. Cases: a one-sample test cohort; the quick demo with
+        one one-sample patient per institution; only institution 1
+        degenerate, under `single` on institution 0 and a sweep of m = 1;
+        the quick demo with blobs 1e200 from the origin; CSV features of
+        about 1e307."""
         sweep = "kind: sweep\n  m_values: [1, 2]"
+        problem = "zero-variance"
         if case == "test":
             edits = {"samples_per_patient: 2": "samples_per_patient: 1",
                      "patients_test: 20": "patients_test: 1"}
@@ -281,7 +284,7 @@ class TestRun:
             path = tmp_path / "demo.yaml"
             path.write_text(text)
             cohort, features = "institution_0", "f0, f1, f2, f3"
-        else:
+        elif case == "other":
             # class-0 patients have two samples, class-1 patients one, and a
             # one-patient institution i draws a class-i patient
             kind = "kind: sweep\n  m_values: [1]" if command == "sweep" else \
@@ -292,13 +295,23 @@ class TestRun:
                 "patients_validation: 20": "patients_validation: 2",
                 "patients_test: 20": "patients_test: 2"})
             cohort, features = "institution_1", "f0, f1, f2"
+        elif case == "wide":
+            path = tmp_path / "demo.yaml"
+            path.write_text(DEMO.read_text().replace(
+                "feature_dim: 4", "feature_dim: 4\n  blob_radius: 1.0e+200"))
+            cohort, features = "institution_0", "f0, f1"
+        else:
+            path = csv_config(tmp_path, [(c, 2) for c in (0, 1) * 40], scale=1e307)
+            cohort, features = "institution_0", "f0, f1, f2"
+        if case.startswith("wide"):
+            problem = "a mean or std that overflows float64 in"
         code = main([command, str(path), "--output-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         if command == "partition":
             assert code == 0 and (tmp_path / "out" / "split_manifest.json").exists()
         else:
             assert code == 2 and not (tmp_path / "out").exists()
-            assert err == f"error: split: the {cohort} cohort has zero-variance feature(s): " \
+            assert err == f"error: split: the {cohort} cohort has {problem} feature(s): " \
                           f"{features}\n"
 
     def test_single_class_csv_refused_at_load(self, tmp_path, capsys):

@@ -104,6 +104,16 @@ class TestNormalize:
         with pytest.raises(DegenerateFeatureError, match="f1"):
             normalize(ds)
 
+    def test_overflowing_spread_raises(self):
+        """f0's std and f1's mean overflow float64, f2 is an ordinary
+        feature: both wide features are named, with no overflow warning."""
+        ds = Dataset(np.array(["a", "b", "c"]),
+                     np.array([[-1e300, 1e308, 0.0], [1e300, 1e308, 1.0], [0.0, 1e308, 2.0]]),
+                     np.array([0, 1, 0]), 2)
+        with pytest.raises(DegenerateFeatureError,
+                           match=r"overflows float64 in feature\(s\): f0, f1$"):
+            normalize(ds)
+
     def test_labels_and_ids_untouched(self):
         ds = make_dataset()
         out = normalize(ds)

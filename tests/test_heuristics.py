@@ -324,6 +324,17 @@ class TestDispatch:
         with pytest.raises(TypeError, match="ScaledSplit"):
             run(tiny_config(), tiny_split())
 
+    @pytest.mark.parametrize("run", [run_central, run_ensemble])
+    def test_poolless_split_refused_before_training(self, monkeypatch, run):
+        """A split scaled for a kind that pools nothing has no pool: central
+        and ensemble refuse it before any training."""
+        calls, train_on = [], heuristics.train_on
+        monkeypatch.setattr(heuristics, "train_on",
+                            lambda *args: calls.append(args) or train_on(*args))
+        with pytest.raises(TypeError, match=r"scale_split\(split, 'central'\)"):
+            run(tiny_config(), tiny_scaled("cyclical"))
+        assert calls == []
+
     @pytest.mark.parametrize("kind", ["single", "central", "ensemble"])
     def test_no_channel_without_handoff(self, kind, monkeypatch):
         def refuse(_kind):

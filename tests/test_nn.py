@@ -216,6 +216,45 @@ class TestBackward:
         err = grad_check(m, x, rng.integers(0, 2, 8), h=(1e-5, 1e-4, 1e-3))
         assert err < 1e-4
 
+    def test_dropout_matches_finite_differences(self):
+        """grad_check runs dropout as the identity. Here every pass is a
+        train-mode pass whose mask comes from the same seed, so the loss is
+        a function of the parameters alone and central differences check
+        the masked backward pass. Dead-relu draws are redrawn as above."""
+        specs = [LayerSpec("affine", 3, 5), LayerSpec("relu", 5, 5),
+                 LayerSpec("dropout", 5, 5, 0.5), LayerSpec("sigmoid-head", 5, 1)]
+        for attempt in range(16):
+            rng = np.random.default_rng([7, attempt])
+            m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
+            x = rng.normal(size=(8, 3))
+            if not has_flat_relu(m, x):
+                break
+        else:
+            pytest.fail("no draw without a batch-wide dead relu unit")
+        y = rng.integers(0, 2, 8)
+
+        def train_pass():
+            return forward(m, x, np.random.default_rng(11))
+
+        (mask,) = train_pass().caches[2]
+        assert set(np.unique(mask)) == {0.0, 2.0}  # the mask drops and rescales
+        grads = m.layout.views(backward(m, train_pass(), y).copy())
+        worst = 0.0
+        for i, name, w in m.param_items():
+            for idx in np.ndindex(w.shape):
+                orig, analytic, best = w[idx], grads[i][name][idx], math.inf
+                for h in (1e-5, 1e-4, 1e-3):
+                    w[idx] = orig + h
+                    hi = loss(train_pass().probs, y, m)
+                    w[idx] = orig - h
+                    lo = loss(train_pass().probs, y, m)
+                    w[idx] = orig
+                    numeric = (hi - lo) / (2.0 * h)
+                    best = min(best, abs(analytic - numeric)
+                               / max(abs(analytic), abs(numeric), 1e-8))
+                worst = max(worst, best)
+        assert worst < 1e-4
+
 
 class TestOptStep:
     def make_scalar_model(self, kind="sgd-momentum"):

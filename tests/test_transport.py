@@ -12,7 +12,7 @@ from fedcycle.heuristics import mlp_specs
 from fedcycle.nn import (LayerSpec, ModelState, OptimizerConfig, init_model,
                          layout_of, opt_step)
 from fedcycle.transport import (ArchitectureMismatchError, CorruptionError,
-                                FormatError, MemoryChannel, SocketChannel,
+                                FormatError, SocketChannel,
                                 TransferFailedError, TruncationError,
                                 arch_hash, deserialize,
                                 make_channel, read_meta, recv_frame,
@@ -447,20 +447,9 @@ class TestChannels:
         channel = make_channel(kind)
         try:
             data = serialize(make_model())
-            back = channel.handoff(data, origin=0, destination=1, global_epoch=3)
-            assert back == data
-            assert len(channel.log) == 1
-            rec = channel.log[0]
-            assert (rec.origin, rec.destination, rec.global_epoch) == (0, 1, 3)
-            assert rec.nbytes == len(data)
+            assert channel.handoff(data) == data
         finally:
             channel.close()
-
-    def test_channel_log_indexes_sequentially(self):
-        channel = MemoryChannel()
-        for i in range(5):
-            channel.handoff(b"abc", origin=i, destination=i + 1, global_epoch=i)
-        assert [r.index for r in channel.log] == list(range(5))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -483,8 +472,7 @@ class TestChannels:
         channel = StalledChannel()
         try:
             with pytest.raises(TransferFailedError):
-                channel.handoff(b"abc", origin=0, destination=1, global_epoch=0)
-            assert channel.log == []
+                channel.handoff(b"abc")
         finally:
             channel.close()
         assert not channel._thread.is_alive()
@@ -494,7 +482,7 @@ class TestChannels:
         frame does not wait out the peer's delayed-ACK timer."""
         channel = SocketChannel()
         try:
-            channel.handoff(b"abc", origin=0, destination=1, global_epoch=0)
+            channel.handoff(b"abc")
             for sock in (channel._sock, channel._courier):
                 assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
         finally:
@@ -505,8 +493,6 @@ class TestChannels:
         try:
             data = serialize(make_model())
             for i in range(10):
-                assert channel.handoff(data, origin=i % 4, destination=(i + 1) % 4,
-                                       global_epoch=i) == data
-            assert len(channel.log) == 10
+                assert channel.handoff(data) == data
         finally:
             channel.close()
