@@ -10,11 +10,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import transport
 from .config import ConfigError, build_experiment, load_plan, seed_value
 from .data import DegenerateFeatureError
 from .heuristics import run_heuristic, run_scaling_sweep, scale_split
-from .nn import gradcheck_suite
+from .nn import gradcheck_suite, init_model
 from .partition import CapacityError, split_manifest, stratified_split
 
 METRICS_COLUMNS = ["global_epoch", "phase", "institution", "learning_rate",
@@ -81,8 +83,9 @@ def _write_json(path, payload) -> None:
 
 def _prepare(args):
     """Load the plan and apply the command line to it, build the dataset and
-    the split, scale its cohorts (not for `partition`), and make the output
-    directory with split_manifest.json in it. Every check comes first."""
+    the split, scale its cohorts and build one model (not for `partition`),
+    and make the output directory with split_manifest.json in it. Every
+    check comes first, a size too large to allocate among them."""
     plan = load_plan(args.config)
     kind = plan.heuristic.kind
     if args.command == "run" and kind == "sweep":
@@ -106,12 +109,20 @@ def _prepare(args):
         if args.transport:
             plan = replace(plan, base_config=replace(plan.base_config,
                                                      transport=args.transport))
-    dataset, base_cfg = build_experiment(plan)
+    try:
+        dataset, base_cfg = build_experiment(plan)
+    except MemoryError as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
     split = stratified_split(dataset, plan.split_plan)
     try:
         scaled = scale_split(split, kind) if args.command != "partition" else None
     except DegenerateFeatureError as exc:
         raise ConfigError(f"split: {exc}") from exc
+    try:
+        if args.command != "partition":
+            init_model(base_cfg.model_specs, base_cfg.optimizer, np.random.default_rng(0))
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
+        raise ConfigError(f"model: {exc}") from exc
     outdir = Path(plan.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "split_manifest.json", split_manifest(split))

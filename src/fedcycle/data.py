@@ -180,13 +180,16 @@ def load_csv(path: str | os.PathLike) -> Dataset:
                 raise CsvParseError(f"{path}:{lineno}: non-numeric feature") from None
     if not pids:
         raise CsvParseError(f"{path}: no data rows")
-    labels = np.array(labels, dtype=np.int64)
-    if labels.min() < 0:
+    if min(labels) < 0:
         raise CsvParseError(f"{path}: negative label")
-    if labels.min() == labels.max():
+    classes = len(set(labels))  # counted, so nothing is sized by the largest label
+    if classes == 1:
         raise CsvParseError(f"{path}: every label is {labels[0]}; a classifier needs 2 classes")
+    if max(labels) != classes - 1:
+        raise CsvParseError(f"{path}: labels must be 0..C-1 with every class present; got "
+                            f"{classes} distinct labels up to {max(labels)}")
     return Dataset(np.array(pids), np.array(feats, dtype=np.float64),
-                   labels, int(labels.max()) + 1)
+                   np.array(labels, dtype=np.int64), classes)
 
 
 def export_csv(dataset: Dataset, path) -> None:

@@ -115,20 +115,20 @@ def accuracy_from_probs(probs: np.ndarray, labels: np.ndarray, k: int = 1) -> di
     rule, multiclass argmax ties go to the lowest class index."""
     labels = np.asarray(labels)
     if probs.shape[1] == 1:
-        pred = (probs[:, 0] >= 0.5).astype(np.int64)
+        pred = probs[:, 0] >= 0.5
         num_classes = 2
     else:
         pred = np.argmax(probs, axis=1)
         num_classes = probs.shape[1]
     if k > num_classes:
         raise ValueError(f"k={k} exceeds {num_classes} classes")
-    top1 = float(np.mean(pred == labels))
+    top1 = int(np.count_nonzero(pred == labels)) / len(labels)
     if k == 1:
         topk = top1
     else:
         table = _prob_matrix(probs)
         ranked = np.argsort(-table, axis=1, kind="stable")[:, :k]
-        topk = float(np.mean(np.any(ranked == labels[:, None], axis=1)))
+        topk = int(np.count_nonzero((ranked == labels[:, None]).any(axis=1))) / len(labels)
     return {"top1": top1, "topk": topk}
 
 

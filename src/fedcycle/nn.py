@@ -249,9 +249,10 @@ class Workspace:
     arrays it and its backward pass write into, so that a training step
     allocates almost nothing; each pass overwrites the last one's arrays.
 
-    Per layer, `out[i]` is its output and `aux[i]` its other forward
-    buffers. `forward` sets `probs` (the head's output), `caches` (per
-    layer what backward reads) and `train`. The flat gradient and the
+    Per layer, `ins[i]` is the array the pass fed it, `out[i]` its output
+    buffer and `aux[i]` its other forward buffers. `forward` sets `ins`,
+    `probs` (the head's output) and `train`: with these buffers and the
+    model, they are all that backward reads. The flat gradient and the
     backward buffers are made on the first backward pass, so a workspace
     that only evaluates never holds them.
     """
@@ -259,7 +260,8 @@ class Workspace:
     def __init__(self, layout: Layout, rows: int):
         self.layout = layout
         self.rows = rows
-        self.probs, self.caches, self.train = None, [], False
+        self.probs, self.train = None, False
+        self.ins = [None] * len(layout.specs)
         self.out, self.aux = [], []
         for spec in layout.specs:
             shape = (rows, spec.out_dim)
@@ -267,7 +269,8 @@ class Workspace:
             if spec.kind == "relu":
                 aux = (np.empty(shape, dtype=bool),)                     # x > 0, for backward
             elif spec.kind == "batchnorm":
-                aux = (np.empty(shape),)                                 # xhat
+                stat = (1, spec.out_dim)
+                aux = (np.empty(shape), np.empty(stat), np.empty(stat))  # xhat, batch mean, 1/std
             elif spec.kind == "dropout":
                 aux = (np.empty(shape), np.empty(shape, dtype=bool))     # mask, kept
             elif spec.kind == "sigmoid-head":
@@ -304,7 +307,7 @@ def workspace(layout: Layout, rows: int) -> Workspace:
 def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | None = None,
             *, train: bool = True, pure: bool = False) -> Workspace:
     """Run the network in train mode, or in eval mode with `train=False`,
-    and return the pass: its Workspace, with `probs`, `caches` and `train`.
+    and return the pass: its Workspace, with `ins`, `probs` and `train`.
 
     In eval mode dropout is the identity and batch norm uses running
     statistics, so the call is pure. In train mode batch norm uses batch
@@ -314,8 +317,8 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
     `workspace(layout, rows)`: what it returns, and the gradient `backward`
     computes from it, hold only until the next such pass of that layout
     and batch size, by any model. Eval and pure passes write into a fresh
-    Workspace. Only a train-mode pass keeps every layer's input in the
-    caches.
+    Workspace. Only a train-mode pass keeps every layer's input intact in
+    `ins`.
     """
     if features.ndim != 2 or features.shape[1] != model.specs[0].in_dim:
         raise ValueError(
@@ -323,23 +326,23 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
         )
     ws = (workspace if train and not pure else Workspace)(model.layout, len(features))
     a = x = np.asarray(features, dtype=np.float64)
-    caches = []
     for i, spec in enumerate(model.specs):
         p, out, aux = model.params[i], ws.out[i], ws.aux[i]
+        ws.ins[i] = a
         if "W" in p:  # affine layers and both heads
-            caches.append((a,))
             np.dot(a, p["W"], out=out)
             out += p["b"]
         if spec.kind == "relu":
-            caches.append((a,))
             if not train and a is not x:
-                # nothing reads an eval pass's caches, so the input buffer
+                # nothing differentiates an eval pass, so the input buffer
                 # can take the output: fewer fresh pages on large cohorts
                 out = a
             np.maximum(a, 0.0, out=out)
         elif spec.kind == "batchnorm":
+            xhat, mu, ivar = aux
             if train:
-                mu = a.mean(axis=0, keepdims=True)
+                np.add.reduce(a, axis=0, keepdims=True, out=mu)
+                mu /= len(a)  # a.mean's arithmetic, written into the workspace
                 var = a.var(axis=0, keepdims=True)
                 if not pure:
                     run = model.stats[i]
@@ -348,11 +351,9 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
             else:
                 mu = model.stats[i]["mean"]
                 var = model.stats[i]["var"]
-            ivar = 1.0 / np.sqrt(var + BN_EPS)
-            (xhat,) = aux
+            np.divide(1.0, np.sqrt(var + BN_EPS), out=ivar)
             np.subtract(a, mu, out=xhat)
             xhat *= ivar
-            caches.append((a, xhat, ivar, mu))
             np.multiply(p["gamma"], xhat, out=out)
             out += p["beta"]
         elif spec.kind == "dropout":
@@ -364,11 +365,9 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
                 rng.random(out=mask)
                 np.less(mask, keep, out=kept)
                 np.divide(kept, keep, out=mask)
-                caches.append((mask,))
                 np.multiply(a, mask, out=out)
             else:
-                caches.append((None,))
-                out = a
+                out = a  # backward reads a passed-through input as "no mask applied"
         elif spec.kind == "sigmoid-head":
             # 1 / (1 + e) where z >= 0, else e / (1 + e), with e = exp(-|z|):
             # e <= 1 never overflows, and each branch is the stable form.
@@ -387,7 +386,7 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
             np.add.reduce(e, axis=1, keepdims=True, out=col)
             e /= col
         a = out
-    ws.probs, ws.caches, ws.train = a, caches, train
+    ws.probs, ws.train = a, train
     return ws
 
 
@@ -408,12 +407,13 @@ def loss(probs: np.ndarray, labels: np.ndarray, model: ModelState, l2_coeff: flo
     if len(labels) != len(probs):
         raise ValueError("probs and labels must share a batch size")
     if probs.shape[1] == 1:
-        p = np.clip(probs[:, 0], PROB_CLAMP, 1.0 - PROB_CLAMP)
+        p = np.minimum(np.maximum(probs[:, 0], PROB_CLAMP), 1.0 - PROB_CLAMP)
         y = labels.astype(np.float64)
-        ce = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+        terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
     else:
-        p = np.clip(probs[np.arange(len(labels)), labels], PROB_CLAMP, 1.0 - PROB_CLAMP)
-        ce = -np.mean(np.log(p))
+        p = probs[np.arange(len(labels)), labels]
+        terms = np.log(np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP))
+    ce = -(np.add.reduce(terms) / len(labels))  # np.mean's arithmetic, without its wrapper
     return float(ce + l2_penalty(model, l2_coeff))
 
 
@@ -440,9 +440,8 @@ def backward(model: ModelState, fp: Workspace, labels: np.ndarray,
     dz /= n
     da = dz
     for i in range(len(model.specs) - 1, -1, -1):
-        spec, p, g, cache = model.specs[i], model.params[i], grads[i], fp.caches[i]
+        spec, p, g, x, aux = model.specs[i], model.params[i], grads[i], fp.ins[i], fp.aux[i]
         if "W" in p:
-            (x,) = cache
             np.dot(x.T, da, out=g["W"])
             if l2_coeff:
                 g["W"] += l2_coeff * p["W"]
@@ -450,7 +449,7 @@ def backward(model: ModelState, fp: Workspace, labels: np.ndarray,
             if i:
                 da = np.dot(da, p["W"].T, out=din[i])
         elif spec.kind == "batchnorm":
-            x, xhat, ivar, mu = cache
+            xhat, mu, ivar = aux
             m = x.shape[0]
             np.add.reduce(da * xhat, axis=0, keepdims=True, out=g["gamma"])
             np.add.reduce(da, axis=0, keepdims=True, out=g["beta"])
@@ -462,13 +461,9 @@ def backward(model: ModelState, fp: Workspace, labels: np.ndarray,
         elif i == 0:
             break
         elif spec.kind == "relu":
-            (x,) = cache
-            (positive,) = fp.aux[i]
-            da *= np.greater(x, 0.0, out=positive)
-        elif spec.kind == "dropout":
-            (mask,) = cache
-            if mask is not None:
-                da *= mask
+            da *= np.greater(x, 0.0, out=aux[0])
+        elif spec.kind == "dropout" and fp.ins[i + 1] is not x:
+            da *= aux[0]  # the pass masked: the layer's output is not its input
     return fp.grad
 
 
@@ -533,12 +528,8 @@ def has_flat_relu(model: ModelState, features: np.ndarray) -> bool:
     a finite-difference probe there measures only float round-off.
     """
     fp = forward(model, features, pure=True)
-    for spec, cache in zip(model.specs, fp.caches):
-        if spec.kind == "relu":
-            (x,) = cache
-            if not np.all((x > 0.0).any(axis=0)):
-                return True
-    return False
+    return any(spec.kind == "relu" and not np.all((x > 0.0).any(axis=0))
+               for spec, x in zip(model.specs, fp.ins))
 
 
 def grad_check(model: ModelState, features: np.ndarray, labels: np.ndarray,

@@ -195,6 +195,10 @@ class TestRun:
         ("max_epochs: 40", "max_epochs: 40\n  top_k: 5", "training.top_k"),
         ("kind: central", "kind: single\n  institution: 2", "heuristic.institution"),
         ("kind: central", "kind: central\n  m_values: [1, 1]", "heuristic.m_values"),
+        # sizes past the 128 TiB user address space, so no overcommit setting lets them allocate
+        ("feature_dim: 3", "feature_dim: 1000000000000000", "dataset"),
+        ("hidden: [8]", "hidden: [1000000000000000]", "model"),
+        ("hidden: [8]", "hidden: [1000000000000000000]", "model"),
     ])
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, old, new, key):
         path = patch_config(tmp_path, **{old: new})
@@ -314,14 +318,18 @@ class TestRun:
             assert err == f"error: split: the {cohort} cohort has {problem} feature(s): " \
                           f"{features}\n"
 
-    def test_single_class_csv_refused_at_load(self, tmp_path, capsys):
-        """A CSV dataset whose labels are all one class cannot train a
-        classifier: exit 2 with one line, before any output."""
-        path = csv_config(tmp_path, [(0, 2)] * 8)
+    @pytest.mark.parametrize("labels,problem", [
+        ((0,), "2 classes"), ((0, 1000000000), "0..C-1"), ((0, 2), "0..C-1"),
+    ], ids=["one-class", "0-and-1e9", "0-and-2"])
+    def test_single_class_csv_refused_at_load(self, tmp_path, capsys, labels, problem):
+        """A CSV dataset whose labels are all one class, or are not 0..C-1,
+        cannot train a C-class classifier: exit 2 with one line, before any
+        output."""
+        path = csv_config(tmp_path, [(c, 2) for c in labels * 8])
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: dataset: ")
-        assert "2 classes" in err and "Traceback" not in err
+        assert problem in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 
@@ -398,6 +406,15 @@ class TestPartition:
         manifest = json.loads((outdir / "split_manifest.json").read_text())
         assert sorted(manifest) == ["institution_0", "institution_1", "test",
                                     "validation"]
+
+    def test_unallocatable_dataset_exits_2(self, tmp_path, capsys):
+        """As for `run`: a dataset past the user address space stops set-up
+        with one line and writes nothing."""
+        path = patch_config(tmp_path, **{"feature_dim: 3": "feature_dim: 1000000000000000"})
+        assert main(["partition", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: dataset: Unable to allocate")
+        assert not (tmp_path / "out").exists()
 
 
 class TestInspect:

@@ -169,6 +169,9 @@ class TestCsv:
         "patient_id,label,f0\np0,0,nope\n",
         "patient_id,label,f0\n",
         "patient_id,label,f0\np0,-1,1.0\n",
+        "patient_id,label,f0\np0,0,1.0\np1,1000000000,2.0\n",
+        "patient_id,label,f0\np0,0,1.0\np1,2,2.0\n",
+        "patient_id,label,f0\np0,0,1.0\np1,99999999999999999999,2.0\n",
     ])
     def test_malformed_inputs(self, tmp_path, text):
         path = tmp_path / "bad.csv"

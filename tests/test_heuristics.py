@@ -13,7 +13,7 @@ from fedcycle.heuristics import (ExperimentConfig, accuracy_from_probs,
                                  run_heuristic, run_scaling_sweep,
                                  run_single_institution,
                                  run_single_weight_transfer, scale_split)
-from fedcycle.nn import LayerSpec, OptimizerConfig, init_model
+from fedcycle.nn import PROB_CLAMP, LayerSpec, OptimizerConfig, init_model, l2_penalty, loss
 from fedcycle.partition import SplitPlan, pool, stratified_split
 from fedcycle.schedule import PlateauPolicy
 
@@ -69,6 +69,67 @@ class TestAccuracy:
         probs = rng.dirichlet(np.ones(5), size=30)
         labels = rng.integers(0, 5, 30)
         assert accuracy_from_probs(probs, labels, k=5)["topk"] == 1.0
+
+
+def score_tables():
+    """Random sigmoid and softmax tables of 1, 7, 80 and 333 rows with their
+    labels. Labelled entries take exactly 0.5, 0 and 1, and values at and
+    past both clamps; the last softmax row is a five-way tie."""
+    rng = np.random.default_rng(19)
+    edges = [0.5, 0.0, 1e-13, PROB_CLAMP, 1.0 - PROB_CLAMP, 1.0 - 1e-13, 1.0]
+    for rows in (1, 7, 80, 333):
+        sig = rng.uniform(size=(rows, 1))
+        sig[:len(edges), 0] = edges[:rows]
+        yield sig, rng.integers(0, 2, rows)
+        labels = rng.integers(0, 5, rows)
+        soft = rng.dirichlet(np.ones(5), size=rows)
+        soft[np.arange(min(rows, len(edges))), labels[:len(edges)]] = edges[:rows]
+        soft[-1] = 0.2
+        yield soft, labels
+
+
+class TestEpochScores:
+    """accuracy_from_probs and loss must give the bits of the np.mean and
+    np.clip expressions they replaced, kept here as the reference."""
+
+    @staticmethod
+    def mean_accuracy(probs, labels, k):
+        if probs.shape[1] == 1:
+            pred = (probs[:, 0] >= 0.5).astype(np.int64)
+            table = np.stack([1.0 - probs[:, 0], probs[:, 0]], axis=1)
+        else:
+            pred, table = np.argmax(probs, axis=1), probs
+        top1 = float(np.mean(pred == labels))
+        ranked = np.argsort(-table, axis=1, kind="stable")[:, :k]
+        topk = top1 if k == 1 else float(np.mean(np.any(ranked == labels[:, None], axis=1)))
+        return {"top1": top1, "topk": topk}
+
+    @staticmethod
+    def clip_mean_loss(probs, labels, model, l2_coeff):
+        if probs.shape[1] == 1:
+            p = np.clip(probs[:, 0], PROB_CLAMP, 1.0 - PROB_CLAMP)
+            y = labels.astype(np.float64)
+            ce = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+        else:
+            p = np.clip(probs[np.arange(len(labels)), labels], PROB_CLAMP, 1.0 - PROB_CLAMP)
+            ce = -np.mean(np.log(p))
+        return float(ce + l2_penalty(model, l2_coeff))
+
+    def test_accuracy_matches_mean_reference(self):
+        for probs, labels in score_tables():
+            for k in (1, 2, probs.shape[1]) if probs.shape[1] > 1 else (1, 2):
+                got = accuracy_from_probs(probs, labels, k)
+                assert got == self.mean_accuracy(probs, labels, k)
+                assert all(type(v) is float for v in got.values())
+
+    def test_loss_matches_clip_mean_reference(self):
+        model = init_model(mlp_specs(3, [4], 2), OptimizerConfig("adam", 0.01),
+                           np.random.default_rng(0))
+        for probs, labels in score_tables():
+            for l2 in (0.0, 0.01):
+                got = loss(probs, labels, model, l2)
+                assert got == self.clip_mean_loss(probs, labels, model, l2)
+                assert type(got) is float
 
 
 class TestMlpSpecs:

@@ -116,7 +116,7 @@ class TestForward:
         x = np.random.default_rng(4).normal(3.0, 2.5, size=(64, 3))
         fp = forward(m, x)
         # gamma=1, beta=0 at init, so the bn output is xhat itself
-        _, xhat, _, _ = fp.caches[0]
+        xhat, _, _ = fp.aux[0]
         assert np.all(np.abs(xhat.mean(axis=0)) < 1e-6)
         assert np.all(np.abs(xhat.var(axis=0) - 1.0) < 1e-6)
 
@@ -236,7 +236,9 @@ class TestBackward:
         def train_pass():
             return forward(m, x, np.random.default_rng(11))
 
-        (mask,) = train_pass().caches[2]
+        fp = train_pass()
+        mask = fp.aux[2][0]
+        assert fp.ins[3] is not fp.ins[2]  # the pass applied the mask
         assert set(np.unique(mask)) == {0.0, 2.0}  # the mask drops and rescales
         grads = m.layout.views(backward(m, train_pass(), y).copy())
         worst = 0.0
