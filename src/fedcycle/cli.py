@@ -7,7 +7,7 @@ import json
 import os
 import statistics
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +38,7 @@ def write_metrics_csv(path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                r.global_epoch,
-                r.phase,
-                "" if r.institution is None else r.institution,
-                repr(r.learning_rate),
-                repr(r.train_accuracy),
-                repr(r.validation_accuracy),
-                repr(r.validation_loss),
-            ])
+        writer.writerows(map(astuple, rows))  # None as an empty field, a float as its repr
 
 
 def _summary_dict(cfg, result) -> dict:
@@ -220,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="experiment YAML/JSON file")
         p.add_argument("--seed-override", type=int, default=None)
         p.add_argument("--output-dir", default=None)
-        p.add_argument("--transport", choices=["memory", "socket"], default=None)
+        p.add_argument("--transport", choices=list(transport.CHANNELS), default=None)
         p.add_argument("--freq", type=int, default=None,
                        help="override weight-transfer frequency")
 

@@ -45,6 +45,9 @@ class ExperimentConfig:
             raise ValueError("augment_sigma must be >= 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.transport not in transport.CHANNELS:
+            raise ValueError(f"transport must be one of {', '.join(transport.CHANNELS)}, "
+                             f"got {self.transport!r}")
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,7 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset):
             if stopped or epoch >= cfg.max_epochs:
                 break
             if n:
-                channel = channel or transport.make_channel(cfg.transport)
+                channel = channel or transport.CHANNELS[cfg.transport]()
                 model = _handoff(model, cfg, channel, origin=origin, global_epoch=epoch)
                 transfers += 1
                 if epochs is None:
@@ -314,9 +317,9 @@ def run_cyclical_weight_transfer(cfg: ExperimentConfig, split: ScaledSplit,
 def run_scaling_sweep(cfg: ExperimentConfig, split: ScaledSplit, m_values,
                       freq: int = 1) -> list:
     """Cyclical weight transfer over the first m institutions, per m."""
-    m_values = list(m_values)
-    if not m_values or max(m_values) > len(split.institutions):
-        raise ValueError("m_values must be non-empty and within the split size")
+    m_values, k = list(m_values), len(split.institutions)
+    if not m_values or not all(1 <= m <= k for m in m_values):
+        raise ValueError(f"m_values must be non-empty, each in 1..{k} (the split size)")
     rows = []
     for m in m_values:
         sub = replace(split, institutions=split.institutions[:m])

@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 HEAD_KINDS = ("sigmoid-head", "softmax-head")
-LAYER_KINDS = ("affine", "relu", "batchnorm", "dropout") + HEAD_KINDS
 
 # Parameter names per layer kind, in canonical (wire) order.
 PARAM_ORDER = {
@@ -25,6 +24,7 @@ PARAM_ORDER = {
     "relu": (),
     "dropout": (),
 }
+LAYER_KINDS = tuple(PARAM_ORDER)  # every layer kind
 # Running statistics per layer kind, in canonical (wire) order.
 RUNNING_ORDER = {"batchnorm": ("mean", "var")}
 # Optimizer state vectors per optimizer kind, in wire order per parameter.
@@ -110,7 +110,7 @@ class OptimizerConfig:
     l2_coeff: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("sgd-momentum", "adam"):
+        if self.kind not in OPT_ROLES:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if not self.learning_rate > 0:  # a NaN fails it too
             raise ValueError("learning_rate must be > 0")
@@ -458,8 +458,6 @@ def backward(model: ModelState, fp: Workspace, labels: np.ndarray,
             dmu = -np.sum(dxhat, axis=0, keepdims=True) * ivar \
                 + dvar * np.mean(-2.0 * (x - mu), axis=0, keepdims=True)
             da = dxhat * ivar + dvar * 2.0 * (x - mu) / m + dmu / m
-        elif i == 0:
-            break
         elif spec.kind == "relu":
             da *= np.greater(x, 0.0, out=aux[0])
         elif spec.kind == "dropout" and fp.ins[i + 1] is not x:

@@ -315,11 +315,21 @@ class SocketChannel:
         port = self._server.getsockname()[1]
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
-        self._sock = _no_delay(socket.create_connection(("127.0.0.1", port),
-                                                        timeout=HANDOFF_TIMEOUT_S))
+        try:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=HANDOFF_TIMEOUT_S)
+        except OSError:
+            # close() alone does not wake the courier's accept(); shutdown does
+            self._server.shutdown(socket.SHUT_RDWR)
+            self._server.close()
+            self._thread.join(timeout=5)
+            raise
+        self._sock = _no_delay(sock)
 
     def _serve(self):
-        conn, _ = self._server.accept()
+        try:
+            conn, _ = self._server.accept()
+        except OSError:  # the server was shut down before a connection came
+            return
         self._courier = _no_delay(conn)
         with conn:
             while True:
@@ -350,9 +360,5 @@ class SocketChannel:
         self._thread.join(timeout=5)
 
 
-def make_channel(kind: str):
-    if kind == "memory":
-        return MemoryChannel()
-    if kind == "socket":
-        return SocketChannel()
-    raise ValueError(f"unknown transport {kind!r}")
+# The transports a run may name, by the name it gives.
+CHANNELS = {"memory": MemoryChannel, "socket": SocketChannel}

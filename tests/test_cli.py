@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from fedcycle import cli
 from fedcycle.cli import METRICS_COLUMNS, main
+from fedcycle.heuristics import MetricsRow
 from fedcycle.nn import LayerSpec, OptimizerConfig, init_model
 from fedcycle.transport import serialize
 
@@ -102,6 +104,11 @@ class TestRun:
         first = rows[1]
         assert first[0] == "1" and first[1] == "A"
         float(first[3]); float(first[4]); float(first[5]); float(first[6])
+
+    def test_metrics_columns_one_per_field(self):
+        """write_metrics_csv writes each MetricsRow as it is, so the header
+        names exactly one column per field (the digests pin their order)."""
+        assert len(set(METRICS_COLUMNS)) == len(METRICS_COLUMNS) == len(fields(MetricsRow))
 
     def test_multi_seed_aggregate(self, tmp_path):
         path = patch_config(tmp_path, **{"seeds: [1]": "seeds: [1, 2, 3]"})
@@ -480,6 +487,27 @@ CYCLICAL = ["af2b051bee5d9613", "380ee8dff114317a", "585f9003ebec50b4"]
 ])
 def test_run_digest(tmp_path, kind, transport, digests):
     assert _run_digests(tmp_path, kind, transport) == digests + [DEMO_MANIFEST]
+
+
+@pytest.mark.parametrize("edits, digests", [
+    pytest.param([("schedule:\n", "schedule:\n  kind: exp\n  decay: 0.99\n")],
+                 ["4aba0fbe9a092177", "3e207023a595554b", "033a65674591a007",
+                  DEMO_MANIFEST], id="exp_decay"),
+    pytest.param([("kind: sgd-momentum", "kind: adam"),
+                  ("max_epochs: 500", "max_epochs: 500\n  carry_optimizer_state: false")],
+                 ["3f8ee51c28e7fbb6", "3e7a24bbed94d5a8", "585f9003ebec50b4",
+                  DEMO_MANIFEST], id="adam_state_reset"),
+    pytest.param([("num_classes: 2", "num_classes: 3"),
+                  ("hidden: [16]", "hidden: [16]\n  batchnorm: true\n  dropout: 0.2"),
+                  ("batch_size: 32", "batch_size: 32\n  top_k: 2")],
+                 ["9938e8356556d854", "c497c3ec3c5c24b4", "eadc6a88b7e9a68c",
+                  "fe80100721846c7a"], id="softmax_batchnorm_dropout_top2"),
+])
+def test_run_digest_edited(tmp_path, edits, digests):
+    """Cyclical runs down paths the demo does not take: the exponential
+    learning rate, an optimizer state reset at each hand-off, and a softmax
+    head behind batch norm and dropout, scored top-2."""
+    assert _run_digests(tmp_path, "cyclical", "memory", edits) == digests
 
 
 def test_run_digest_single_transfer_handoff(tmp_path):

@@ -356,9 +356,14 @@ class TestScalingSweep:
         for _, acc in rows:
             assert 0.0 <= acc <= 1.0
 
-    def test_m_out_of_range(self):
-        with pytest.raises(ValueError):
-            run_scaling_sweep(tiny_config(), tiny_scaled("sweep", k=2), [3])
+    def test_m_out_of_range(self, monkeypatch):
+        """Every m must be in 1..K; one that is not is refused before any
+        training, wherever it stands in the list."""
+        monkeypatch.setattr(heuristics, "_build_model",
+                            lambda cfg: pytest.fail("a sweep trained on a bad m"))
+        for m_values in ([3], [0], [-1], [1, 0]):
+            with pytest.raises(ValueError, match="m_values"):
+                run_scaling_sweep(tiny_config(), tiny_scaled("sweep", k=2), m_values)
 
 
 class TestDispatch:
@@ -398,9 +403,9 @@ class TestDispatch:
 
     @pytest.mark.parametrize("kind", ["single", "central", "ensemble"])
     def test_no_channel_without_handoff(self, kind, monkeypatch):
-        def refuse(_kind):
+        def refuse():
             pytest.fail("a run without hand-offs opened a channel")
-        monkeypatch.setattr(transport, "make_channel", refuse)
+        monkeypatch.setitem(transport.CHANNELS, "socket", refuse)
         res = run_heuristic(tiny_config(transport="socket"), tiny_scaled(kind), kind)
         assert res.transfers == 0
 

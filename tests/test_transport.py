@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from fedcycle import transport
-from fedcycle.heuristics import mlp_specs
+from fedcycle.heuristics import ExperimentConfig, mlp_specs
 from fedcycle.nn import (LayerSpec, ModelState, OptimizerConfig, init_model,
                          layout_of, opt_step)
+from fedcycle.schedule import PlateauPolicy
 from fedcycle.transport import (ArchitectureMismatchError, CorruptionError,
                                 FormatError, SocketChannel,
                                 TransferFailedError, TruncationError,
-                                arch_hash, deserialize,
-                                make_channel, read_meta, recv_frame,
-                                send_frame, serialize)
+                                arch_hash, deserialize, read_meta,
+                                recv_frame, send_frame, serialize)
 
 SPECS = [LayerSpec("affine", 3, 4), LayerSpec("batchnorm", 4, 4),
          LayerSpec("relu", 4, 4), LayerSpec("dropout", 4, 4, 0.5),
@@ -442,9 +442,9 @@ class TestFrames:
 
 
 class TestChannels:
-    @pytest.mark.parametrize("kind", ["memory", "socket"])
+    @pytest.mark.parametrize("kind", list(transport.CHANNELS))
     def test_handoff_returns_identical_bytes(self, kind):
-        channel = make_channel(kind)
+        channel = transport.CHANNELS[kind]()
         try:
             data = serialize(make_model())
             assert channel.handoff(data) == data
@@ -452,8 +452,22 @@ class TestChannels:
             channel.close()
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_channel("carrier-pigeon")
+        """A run's config refuses a transport that CHANNELS does not name,
+        and the error lists the ones it does."""
+        with pytest.raises(ValueError, match="memory, socket, got 'carrier-pigeon'"):
+            ExperimentConfig(SPECS, OptimizerConfig("adam", 1e-3), PlateauPolicy(20, 0.25, 3),
+                             transport="carrier-pigeon")
+
+    def test_failed_connect_leaves_no_courier(self, monkeypatch):
+        """A channel whose connection fails raises, and leaves no courier
+        thread blocked in accept() behind it."""
+        def refuse(*args, **kwargs):
+            raise OSError(24, "Too many open files")
+        before = set(threading.enumerate())
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        with pytest.raises(OSError, match="Too many open files"):
+            SocketChannel()
+        assert set(threading.enumerate()) <= before
 
     @pytest.mark.parametrize("returns_ack", [False, True])
     def test_stalled_courier_times_out(self, monkeypatch, returns_ack):
