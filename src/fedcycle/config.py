@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .data import Dataset, gen_synthetic, load_csv
-from .heuristics import ExperimentConfig
+from .heuristics import PLANS, ExperimentConfig
 from .nn import OptimizerConfig, mlp_specs
 from .partition import SplitPlan
 from .schedule import ExpDecayPolicy, PlateauPolicy
@@ -30,14 +30,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class HeuristicSection:
-    kind: str                 # single | central | ensemble | single_transfer | cyclical | sweep
+    kind: str                 # a key of heuristics.PLANS, or sweep
     frequency: int = 1
     institution: int = 0
     m_values: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("single", "central", "ensemble", "single_transfer",
-                             "cyclical", "sweep"):
+        if self.kind not in (*PLANS, "sweep"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.frequency < 1:
             raise ValueError("frequency must be >= 1")
@@ -170,7 +169,7 @@ def build_dataset(section: dict) -> Dataset:
 def load_plan(path) -> ExperimentPlan:
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int over 4300 digits
             raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):

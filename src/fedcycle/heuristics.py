@@ -9,6 +9,7 @@ pure function of (config, split, seed).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +49,12 @@ class ExperimentConfig:
         if self.transport not in transport.CHANNELS:
             raise ValueError(f"transport must be one of {', '.join(transport.CHANNELS)}, "
                              f"got {self.transport!r}")
+        lr = self.optimizer.learning_rate  # the last rate the schedule sets, as a run sets it
+        lr = exp_decay_lr(self.max_epochs - 1, lr, self.exp_decay) if self.exp_decay else \
+            math.prod([lr] + [self.plateau.decay_factor] * self.plateau.max_decays)
+        if not lr > 0:
+            raise ValueError(f"the {'exp' if self.exp_decay else 'plateau'} schedule drives "
+                             f"the learning rate {self.optimizer.learning_rate!r} to 0")
 
 
 @dataclass(frozen=True)
@@ -171,86 +178,81 @@ def train_on(model: ModelState, cohort: Dataset, cfg: ExperimentConfig, lr: floa
     return len(starts)
 
 
-def _current_lr(cfg: ExperimentConfig, state: PlateauState, epoch_index: int) -> float:
-    if cfg.exp_decay is not None:
-        return exp_decay_lr(epoch_index, cfg.optimizer.learning_rate, cfg.exp_decay)
-    return state.current_lr
+def _visit_policy(cfg: ExperimentConfig, visits):
+    """The rules of a run, as a generator of requests that `_run_visits` answers:
+    ("epoch", cohort, lr) with (steps, train_acc, val_acc, val_loss), and
+    ("handoff", origin, epoch) with None once the model has moved on. Returns
+    the metrics rows, the transfer count and the optimizer steps.
 
-
-def _handoff(model: ModelState, cfg: ExperimentConfig, channel, *,
-             origin: int, global_epoch: int) -> ModelState:
-    data = transport.serialize(model, global_epoch=global_epoch, origin=origin,
-                               carry_opt_state=cfg.carry_opt_state)
-    delivered = channel.handoff(data)
-    new_model, _ = transport.deserialize(delivered, model.specs)
-    if not cfg.carry_opt_state:
-        new_model.opt_state = OptState.zeros(cfg.optimizer.kind, new_model.layout.size)
-    return new_model
+    `visits` yields (institution, cohort, epochs). Each epoch's validation loss
+    feeds one plateau schedule, `cfg.plateau`: a plateau decays the learning
+    rate and, once the decays are used up, ends the run. A visit lasts `epochs`
+    epochs; one with `epochs` None restarts the patience count at its hand-off
+    and lasts until any plateau. Nothing follows epoch `max_epochs`."""
+    state = PlateauState.fresh(cfg.optimizer.learning_rate)
+    rows = []
+    steps = transfers = epoch = 0
+    for institution, cohort, epochs in visits:
+        if epoch >= cfg.max_epochs:
+            break
+        if rows:
+            yield "handoff", rows[-1].institution, epoch
+            transfers += 1
+            if epochs is None:
+                state.epochs_since_improve = 0
+        for _ in range(min(epochs or cfg.max_epochs, cfg.max_epochs - epoch)):
+            lr = state.current_lr if cfg.exp_decay is None else \
+                exp_decay_lr(epoch, cfg.optimizer.learning_rate, cfg.exp_decay)
+            epoch += 1
+            epoch_steps, *scores = yield "epoch", cohort, lr
+            steps += epoch_steps
+            rows.append(MetricsRow(epoch, state.phase, institution, lr, *scores))
+            kind = observe(state, cfg.plateau, rows[-1].validation_loss).kind
+            if epochs is None and kind != CONTINUE:
+                break
+            if kind == STOP:
+                return rows, transfers, steps
+    return rows, transfers, steps
 
 
 def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset):
-    """The training loop behind every heuristic: returns the trained model,
-    its per-epoch metrics rows, the transfer count and the optimizer steps.
-
-    `visits` yields (institution, cohort, epochs) triples. Each visit trains
-    one epoch at a time, records it and feeds its validation loss to one
-    plateau schedule, `cfg.plateau`, shared by the whole run. A plateau
-    decays the learning rate and, once the decays are used up, ends the
-    run. A visit lasts `epochs` epochs; with `epochs` None it lasts until
-    any plateau instead, and its patience count restarts at the hand-off.
-    The model is handed to the next visit's institution through the
-    channel, which is opened at the first hand-off. Hand-offs stop once the
-    run has stopped or spent `max_epochs`. The loop never sees the test
-    cohort.
-    """
+    """Answer `_visit_policy`'s requests on one model, opening the channel at
+    the first hand-off; returns the model, then the policy's rows, transfer
+    count and optimizer steps. It never sees the test cohort."""
     model = _build_model(cfg)
     rng = _train_rng(cfg)
-    state = PlateauState.fresh(cfg.optimizer.learning_rate)
-    rows = []
-    channel = None
-    steps = transfers = epoch = 0
-    stopped = False
+    policy = _visit_policy(cfg, visits)
+    channel = answer = None
     try:
-        for n, (institution, cohort, epochs) in enumerate(visits):
-            if stopped or epoch >= cfg.max_epochs:
-                break
-            if n:
-                channel = channel or transport.CHANNELS[cfg.transport]()
-                model = _handoff(model, cfg, channel, origin=origin, global_epoch=epoch)
-                transfers += 1
-                if epochs is None:
-                    state.epochs_since_improve = 0
-            origin = institution
-            for _ in range(epochs or cfg.max_epochs):
-                if epoch >= cfg.max_epochs:
-                    break
-                epoch += 1
-                lr = _current_lr(cfg, state, epoch - 1)
-                phase = state.phase
-                steps += train_on(model, cohort, cfg, lr, rng)
-                train_acc = evaluate(model, cohort)["top1"]
-                val_acc, val_loss = _val_metrics(model, validation)
-                rows.append(MetricsRow(epoch, phase, institution, lr,
-                                       train_acc, val_acc, val_loss))
-                kind = observe(state, cfg.plateau, val_loss).kind
-                if epochs is None and kind != CONTINUE:
-                    break
-                if kind == STOP:
-                    stopped = True
-                    break
+        while True:
+            try:
+                request, *args = policy.send(answer)
+            except StopIteration as end:
+                return (model, *end.value)
+            if request == "epoch":
+                cohort, lr = args
+                answer = (train_on(model, cohort, cfg, lr, rng), evaluate(model, cohort)["top1"],
+                          *_val_metrics(model, validation))
+                continue
+            origin, epoch = args
+            channel = channel or transport.CHANNELS[cfg.transport]()
+            data = transport.serialize(model, global_epoch=epoch, origin=origin,
+                                       carry_opt_state=cfg.carry_opt_state)
+            model, _ = transport.deserialize(channel.handoff(data), model.specs)
+            if not cfg.carry_opt_state:
+                model.opt_state = OptState.zeros(cfg.optimizer.kind, model.layout.size)
+            answer = None
     finally:
         if channel is not None:
             channel.close()
-    return model, rows, transfers, steps
 
 
 def _scored_run(cfg: ExperimentConfig, visits, split: ScaledSplit) -> RunResult:
     """Train one model over `visits`, then score it on the test cohort once."""
     model, rows, transfers, steps = _run_visits(cfg, visits, _scaled(split).validation)
     scores = evaluate(model, split.test, cfg.top_k)
-    last = rows[-1]
-    return RunResult(models=[model], metrics=rows, train_accuracy=last.train_accuracy,
-                     validation_accuracy=last.validation_accuracy,
+    return RunResult(models=[model], metrics=rows, train_accuracy=rows[-1].train_accuracy,
+                     validation_accuracy=rows[-1].validation_accuracy,
                      test_accuracy=scores["top1"], test_top_k=scores["topk"],
                      transfers=transfers, optimizer_steps=steps)
 
@@ -280,14 +282,12 @@ def run_ensemble(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
         return accuracy_from_probs(ensemble_predict(members, cohort.features),
                                    cohort.labels, k)
 
-    val_scores = score(split.validation)
     test_scores = score(split.test, cfg.top_k)
-    train_scores = score(split.pooled)
     return RunResult(
         models=list(members),
         metrics=[row for member_rows in rows for row in member_rows],
-        train_accuracy=train_scores["top1"],
-        validation_accuracy=val_scores["top1"],
+        train_accuracy=score(split.pooled)["top1"],
+        validation_accuracy=score(split.validation)["top1"],
         test_accuracy=test_scores["top1"],
         test_top_k=test_scores["topk"],
         optimizer_steps=sum(steps),
@@ -328,17 +328,18 @@ def run_scaling_sweep(cfg: ExperimentConfig, split: ScaledSplit, m_values,
     return rows
 
 
+# Each kind of run, called as PLANS[kind](cfg, split, institution, frequency).
+PLANS = {
+    "single": lambda cfg, split, institution, _: run_single_institution(cfg, split, institution),
+    "central": lambda cfg, split, *_: run_central(cfg, split),
+    "ensemble": lambda cfg, split, *_: run_ensemble(cfg, split),
+    "single_transfer": lambda cfg, split, *_: run_single_weight_transfer(cfg, split),
+    "cyclical": lambda cfg, split, _, freq: run_cyclical_weight_transfer(cfg, split, freq),
+}
+
+
 def run_heuristic(cfg: ExperimentConfig, split: ScaledSplit, kind: str, *,
                   institution: int = 0, frequency: int = 1) -> RunResult:
-    if kind == "single":
-        return run_single_institution(cfg, split, institution)
-    if kind == "central":
-        return run_central(cfg, split)
-    if kind == "ensemble":
-        return run_ensemble(cfg, split)
-    if kind == "single_transfer":
-        return run_single_weight_transfer(cfg, split)
-    if kind == "cyclical":
-        return run_cyclical_weight_transfer(cfg, split, frequency)
-    raise ValueError(f"unknown heuristic {kind!r}")
-
+    if kind not in PLANS:
+        raise ValueError(f"unknown heuristic {kind!r}")
+    return PLANS[kind](cfg, split, institution, frequency)

@@ -36,6 +36,7 @@ pytestmark = pytest.mark.slow
 DESK_SEEDS = (1, 2, 3, 4, 5, 6, 7, 8)
 HIGH_FREQS = (1, 2, 4)
 LOW_FREQS = (5, 10, 20)
+SWEEP_M_VALUES = [1, 2, 4, 8, 12, 16]
 
 
 def desk_dataset(seed):
@@ -78,16 +79,21 @@ def desk_seed_results(seed):
     return out
 
 
+def worker_pool():
+    """Two spawned worker processes that turn a RuntimeWarning into an
+    error, as the test run does."""
+    return ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=warnings.simplefilter,
+                               initargs=("error", RuntimeWarning))
+
+
 @pytest.fixture(scope="module")
 def desk_results():
     """Per-seed test accuracies for every heuristic and CWT frequency. Each
     seed is a pure function of its number, so two worker processes share the
     seeds; the pool is shut down before the fixture returns, so no timed
-    test shares the CPU with it. The workers turn a RuntimeWarning into an
-    error, as the test run does."""
-    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn"),
-                             initializer=warnings.simplefilter,
-                             initargs=("error", RuntimeWarning)) as workers:
+    test shares the CPU with it."""
+    with worker_pool() as workers:
         per_seed = list(workers.map(desk_seed_results, DESK_SEEDS))
     out = {key: [r[key] for r in per_seed]
            for key in ("central", "swt", "ensemble", "single_mean")}
@@ -170,21 +176,26 @@ class TestCriterion4:
                       f"pts (>=0), {favorable}/{len(diffs)} seeds favor high frequency")
 
 
+def sweep_seed_curve(seed):
+    """One seed's test accuracy per m for criterion 5."""
+    ds = gen_synthetic("rings", n_patients=1900, samples_per_patient=2,
+                       num_classes=2, noise_rate=0.1, feature_dim=32,
+                       rng=np.random.default_rng([seed, 2]),
+                       patient_spread=0.25, sample_jitter=0.2)
+    plan = SplitPlan(k=16, patients_per_institution=40,
+                     patients_validation=300, patients_test=300, seed=seed)
+    split = scale_split(stratified_split(ds, plan), "sweep")
+    rows = run_scaling_sweep(desk_config(seed), split, SWEEP_M_VALUES, freq=1)
+    return [acc for _, acc in rows]
+
+
 class TestCriterion5:
     def test_scaling_sweep(self):
+        """The seeds run in two spawned workers, as the fixture's do; the
+        pool is shut down before the elapsed time is taken."""
         start = time.time()
-        m_values = [1, 2, 4, 8, 12, 16]
-        curves = []
-        for seed in (1, 2, 3, 4, 5, 6):
-            ds = gen_synthetic("rings", n_patients=1900, samples_per_patient=2,
-                               num_classes=2, noise_rate=0.1, feature_dim=32,
-                               rng=np.random.default_rng([seed, 2]),
-                               patient_spread=0.25, sample_jitter=0.2)
-            plan = SplitPlan(k=16, patients_per_institution=40,
-                             patients_validation=300, patients_test=300, seed=seed)
-            split = scale_split(stratified_split(ds, plan), "sweep")
-            rows = run_scaling_sweep(desk_config(seed), split, m_values, freq=1)
-            curves.append([acc for _, acc in rows])
+        with worker_pool() as workers:
+            curves = list(workers.map(sweep_seed_curve, (1, 2, 3, 4, 5, 6)))
         mean = np.mean(curves, axis=0)
         moving = np.convolve(mean, np.ones(3) / 3, mode="valid")
         elapsed = time.time() - start

@@ -256,6 +256,30 @@ def test_invalid_value_rejected_at_load(tmp_path, capsys, old, new, key):
     assert not (tmp_path / "out").exists()
 
 
+# The quick demo run centrally under a schedule whose last learning rate
+# underflows to 0: halved each epoch for 1,200 epochs, or decayed twice by 1e-300.
+UNDERFLOW = {
+    "exp": {"kind: cyclical": "kind: central", "max_epochs: 500": "max_epochs: 1200",
+            "patience: 10\n  decay_factor: 0.25\n  max_decays: 2":
+            "kind: exp\n  decay: 0.5\n  patience: 100000"},
+    "plateau": {"kind: cyclical": "kind: central", "decay_factor: 0.25": "decay_factor: 1.0e-300"},
+}
+
+
+@pytest.mark.parametrize("schedule", UNDERFLOW)
+def test_schedule_driving_rate_to_zero_rejected_at_load(tmp_path, capsys, schedule):
+    """Such a run used to train until the rate reached 0 and then fail with
+    exit 1; it now stops at load with one error line naming the schedule."""
+    path = write_config(tmp_path, (ROOT / "configs" / "quick_demo.yaml").read_text(),
+                        **UNDERFLOW[schedule])
+    message = f"training: the {schedule} schedule drives the learning rate 0.0005 to 0"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_plan(path)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestSchema:
     @pytest.mark.parametrize("old,new,key", WRONG_VALUES,
                              ids=[f"{key}={new.split(': ')[-1]}"
@@ -282,7 +306,9 @@ class TestSchema:
     def test_renamed_keys(self, tmp_path):
         path = write_config(tmp_path, **{
             "learning_rate: 0.001": "learning_rate: 0.001\n  l2: 0.5",
-            "patience: 5": "kind: exp\n  decay: 0.5\n  patience: 5"})
+            "patience: 5": "kind: exp\n  decay: 0.5\n  patience: 5",
+            # 0.001 * 0.5 ** 4999 (the default max_epochs) underflows to 0
+            "batch_size: 16": "batch_size: 16\n  max_epochs: 500"})
         cfg = load_plan(path).base_config
         assert cfg.optimizer.l2_coeff == 0.5
         assert cfg.exp_decay.decay_per_period == 0.5
@@ -363,17 +389,21 @@ def _key_paths(doc: dict, prefix=()):
             yield prefix + (key,)
 
 
-def _fuzz_cases(optional: bool):
+def _fuzz_cases(optional: bool, once: bool = False):
     """(document name, key path, value, YAML text, heuristic kind) per
     distinct document: each key of a document set to each fuzz value, or
-    with `optional` each key of OPTIONAL_KEYS that the document leaves out.
+    with `optional` each key of OPTIONAL_KEYS that the document leaves out;
+    with `once`, only the first document of each (key, value) pair.
     Training stops after 2 epochs unless max_epochs is the key under test."""
-    seen = set()
+    seen, pairs = set(), set()
     for name, base in _fuzz_documents().items():
         paths = [p for p in OPTIONAL_KEYS if p[1] not in base[p[0]]] if optional \
             else list(_key_paths(base))
         for path in paths:
             for value in FUZZ_VALUES:
+                if once and (path, repr(value)) in pairs:
+                    continue
+                pairs.add((path, repr(value)))
                 doc = copy.deepcopy(base)
                 if path != ("training", "max_epochs"):
                     doc["training"]["max_epochs"] = min(doc["training"].get("max_epochs", 2), 2)
@@ -408,3 +438,31 @@ def test_fuzzed_key_exits_cleanly(tmp_path, capsys, optional):
             failures.append(f"{name} {key}={value!r}: exit {code}, {errors} error line(s)")
     assert n > (100 if optional else 1000)
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.slow
+def test_yaml_loaders_agree(tmp_path, monkeypatch):
+    """load_plan parses with libyaml where PyYAML is built with it, and with
+    PyYAML's own SafeLoader where it is not (here, once CSafeLoader is gone).
+    Each shipped config as written, each fuzz document and each fuzz value at
+    each key (its first fuzz case) loads to an equal plan under both, or
+    fails under both with the same ConfigError, which the CLI prints as one
+    `error:` line with exit 2 (the fuzz test checks that for every case)."""
+    texts = [p.read_text() for p in sorted(ROOT.glob("configs/*.yaml"))]
+    texts += [yaml.safe_dump(doc) for doc in _fuzz_documents().values()]
+    texts += [case[3] for optional in (False, True) for case in _fuzz_cases(optional, once=True)]
+    path = tmp_path / "experiment.yaml"
+
+    def outcomes():
+        for text in texts:
+            path.write_text(text)
+            try:
+                yield repr(load_plan(path))  # repr: a NaN in the dataset section is kept raw
+            except ConfigError as exc:
+                yield f"error: {exc}"
+
+    with_libyaml = list(outcomes())
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert list(outcomes()) == with_libyaml
+    errors = [o for o in with_libyaml if o.startswith("error: ")]
+    assert len(texts) > 300 and 100 < len(errors) < len(texts) - 12

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 
 from fedcycle import cli, heuristics, transport
 from fedcycle.data import concat, gen_synthetic, normalize
-from fedcycle.heuristics import (ExperimentConfig, accuracy_from_probs,
+from fedcycle.heuristics import (ExperimentConfig, MetricsRow, accuracy_from_probs,
                                  ensemble_predict, evaluate, mlp_specs,
                                  predict_proba, run_central,
                                  run_cyclical_weight_transfer, run_ensemble,
@@ -15,7 +16,7 @@ from fedcycle.heuristics import (ExperimentConfig, accuracy_from_probs,
                                  run_single_weight_transfer, scale_split)
 from fedcycle.nn import PROB_CLAMP, LayerSpec, OptimizerConfig, init_model, l2_penalty, loss
 from fedcycle.partition import SplitPlan, pool, stratified_split
-from fedcycle.schedule import PlateauPolicy
+from fedcycle.schedule import ExpDecayPolicy, PlateauPolicy
 
 
 def tiny_split(seed=0, k=2, num_classes=2):
@@ -346,6 +347,79 @@ class TestCyclicalWeightTransfer:
         b = run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), 2)
         assert [r.validation_loss for r in a.metrics] == \
             [r.validation_loss for r in b.metrics]
+
+
+def drive_policy(cfg, visits, val_losses):
+    """Run `_visit_policy` with no model: each epoch request is answered with
+    3 steps, train accuracy 0.5, validation accuracy 0.25 and the next of
+    `val_losses`, which must all be used. Returns the requests and what the
+    policy returns."""
+    policy, losses = heuristics._visit_policy(cfg, visits), iter(val_losses)
+    requests, answer = [], None
+    while True:
+        try:
+            requests.append(policy.send(answer))
+        except StopIteration as end:
+            assert next(losses, None) is None, "the run ended before its script"
+            return requests, end.value
+        answer = (3, 0.5, 0.25, next(losses)) if requests[-1][0] == "epoch" else None
+
+
+class TestVisitPolicy:
+    """The rules of a run, pinned with scripted answers and no model; the
+    cohorts are stand-in strings, since the policy only passes them on."""
+
+    def test_cyclical_budget_ends_mid_visit_without_handoff(self):
+        cfg = tiny_config(max_epochs=5)
+        visits = itertools.cycle([(i, f"c{i}", 2) for i in range(3)])
+        requests, (rows, transfers, steps) = drive_policy(cfg, visits, [1.0, 0.9, 0.8, 0.7, 0.6])
+        lr = cfg.optimizer.learning_rate
+        assert requests == [("epoch", "c0", lr), ("epoch", "c0", lr), ("handoff", 0, 2),
+                            ("epoch", "c1", lr), ("epoch", "c1", lr), ("handoff", 1, 4),
+                            ("epoch", "c2", lr)]
+        assert rows == [MetricsRow(e, "A", i, lr, 0.5, 0.25, loss) for e, i, loss in
+                        zip(range(1, 6), [0, 0, 1, 1, 2], [1.0, 0.9, 0.8, 0.7, 0.6])]
+        assert (transfers, steps) == (2, 15)
+
+    def test_single_transfer_plateau_ends_only_its_visit(self):
+        """With no decays, every plateau is a STOP; an `epochs=None` visit
+        still only ends, the next visit's patience starts afresh at its
+        hand-off, and the run ends when the visits run out."""
+        cfg = tiny_config(plateau=PlateauPolicy(2, 0.25, 0), max_epochs=100)
+        visits = [(i, f"c{i}", None) for i in range(3)]
+        losses = [1.0, 0.9, 0.9, 0.9, 0.95, 0.95, 0.95, 0.95]
+        requests, (rows, transfers, steps) = drive_policy(cfg, visits, losses)
+        lr = cfg.optimizer.learning_rate
+        assert requests == [("epoch", "c0", lr)] * 4 + [("handoff", 0, 4)] + \
+            [("epoch", "c1", lr)] * 2 + [("handoff", 1, 6)] + [("epoch", "c2", lr)] * 2
+        assert rows == [MetricsRow(e, "A", i, lr, 0.5, 0.25, loss) for e, i, loss in
+                        zip(range(1, 9), [0, 0, 0, 0, 1, 1, 2, 2], losses)]
+        assert (transfers, steps) == (2, 24)
+
+    def test_exp_decay_sets_rate_while_plateau_stops(self):
+        """The exponential schedule sets each epoch's rate; the plateau
+        ladder still names the phase and ends the run, long before max_epochs."""
+        cfg = tiny_config(optimizer=OptimizerConfig("adam", 1.0), exp_decay=ExpDecayPolicy(0.5),
+                          plateau=PlateauPolicy(1, 0.25, 1), max_epochs=10)
+        requests, (rows, transfers, steps) = drive_policy(cfg, [(None, "pool", 10)], [1.0, 1.0])
+        assert requests == [("epoch", "pool", 1.0), ("epoch", "pool", 0.5)]
+        assert rows == [MetricsRow(1, "A", None, 1.0, 0.5, 0.25, 1.0),
+                        MetricsRow(2, "B", None, 0.5, 0.5, 0.25, 1.0)]
+        assert (transfers, steps) == (0, 6)
+
+
+def test_schedule_driving_rate_to_zero_refused():
+    """A schedule whose last rate, computed as a run computes it, is 0 cannot
+    be configured. At 5e-4 halved per epoch, epoch index 1064 still trains at
+    5e-324 and index 1065 would train at 0; two plateau decays by 1e-300 reach
+    0 as well."""
+    sgd = OptimizerConfig("sgd-momentum", 5e-4)
+    tiny_config(optimizer=sgd, exp_decay=ExpDecayPolicy(0.5), max_epochs=1065)
+    with pytest.raises(ValueError, match="the exp schedule drives the learning rate"):
+        tiny_config(optimizer=sgd, exp_decay=ExpDecayPolicy(0.5), max_epochs=1066)
+    with pytest.raises(ValueError, match="the plateau schedule drives the learning rate"):
+        tiny_config(optimizer=sgd, plateau=PlateauPolicy(10, 1e-300, 2))
+    tiny_config(optimizer=sgd, plateau=PlateauPolicy(10, 1e-300, 1))
 
 
 class TestScalingSweep:
