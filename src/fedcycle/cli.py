@@ -4,10 +4,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import statistics
 import sys
-from dataclasses import astuple, replace
+from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -15,30 +15,21 @@ import numpy as np
 from . import transport
 from .config import ConfigError, build_experiment, load_plan, seed_value
 from .data import DegenerateFeatureError
-from .heuristics import run_heuristic, run_scaling_sweep, scale_split
+from .heuristics import MetricsRow, run_heuristic, run_scaling_sweep, scale_split
 from .nn import gradcheck_suite, init_model
 from .partition import CapacityError, split_manifest, stratified_split
 
 METRICS_COLUMNS = ["global_epoch", "phase", "institution", "learning_rate",
                    "train_acc", "val_acc", "val_loss"]
 
-
-def _env_seed() -> int | None:
-    raw = os.environ.get("FEDCYCLE_SEED")
-    if raw is None:
-        return None
-    try:
-        raw = int(raw)
-    except ValueError:
-        pass  # seed_value names the variable and the value
-    return seed_value(raw, "FEDCYCLE_SEED")
+_ROW = attrgetter(*(f.name for f in fields(MetricsRow)))  # a row's fields, not copied
 
 
 def write_metrics_csv(path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
-        writer.writerows(map(astuple, rows))  # None as an empty field, a float as its repr
+        writer.writerows(map(_ROW, rows))  # None as an empty field, a float as its repr
 
 
 def _summary_dict(cfg, result) -> dict:
@@ -84,14 +75,13 @@ def _prepare(args):
     if args.command == "sweep" and kind != "sweep":
         raise ConfigError(f"heuristic.kind: the `sweep` subcommand needs kind: sweep, got "
                           f"{kind!r}; use the `run` subcommand")
-    if args.output_dir:
+    if args.output_dir == "":
+        raise ConfigError("--output-dir: must name a directory, got ''")
+    if args.output_dir is not None:
         plan = replace(plan, output_dir=args.output_dir)
     if args.command != "partition":
-        override = _env_seed()
         if args.seed_override is not None:
-            override = seed_value(args.seed_override, "--seed-override")
-        if override is not None:
-            plan = replace(plan, seeds=(override,))
+            plan = replace(plan, seeds=(seed_value(args.seed_override, "--seed-override"),))
         if args.freq is not None:
             try:
                 plan = replace(plan, heuristic=replace(plan.heuristic, frequency=args.freq))

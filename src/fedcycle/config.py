@@ -145,6 +145,8 @@ def _plan(dataset: dict, split: dict, model: dict, optimizer: dict, schedule: di
                               ("seeds", "seed", seeds)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{key}: each {each} may appear only once, got {list(values)}")
+    if not output_dir:
+        raise ConfigError("output_dir: must name a directory, got ''")
     if dataset.get("kind") != "csv":
         seed_value(dataset.get("seed", 0), "dataset.seed")
     plateau, exp_decay = _read(_schedule, schedule, "schedule")

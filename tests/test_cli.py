@@ -128,35 +128,38 @@ class TestRun:
         assert (outdir / "metrics_seed9.csv").exists()
         assert not (outdir / "metrics_seed1.csv").exists()
 
-    def test_seed_env_override(self, config_path, tmp_path, monkeypatch):
+    def test_exported_seed_variable_ignored(self, tmp_path, monkeypatch):
+        """A run's only inputs are its experiment file and its flags: an
+        exported FEDCYCLE_SEED does not replace the config's seeds."""
         monkeypatch.setenv("FEDCYCLE_SEED", "7")
+        path = patch_config(tmp_path, **{"seeds: [1]": "seeds: [1, 2]"})
         outdir = tmp_path / "out"
-        main(["run", str(config_path), "--output-dir", str(outdir)])
-        assert (outdir / "metrics_seed7.csv").exists()
+        assert main(["run", str(path), "--output-dir", str(outdir)]) == 0
+        assert sorted(p.name for p in outdir.glob("metrics_seed*.csv")) == \
+            ["metrics_seed1.csv", "metrics_seed2.csv"]
+        assert json.loads((outdir / "aggregate.json").read_text())["seeds"] == [1, 2]
 
-    def test_flag_beats_env(self, config_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEDCYCLE_SEED", "7")
-        outdir = tmp_path / "out"
-        main(["run", str(config_path), "--output-dir", str(outdir),
-              "--seed-override", "8"])
-        assert (outdir / "metrics_seed8.csv").exists()
-        assert not (outdir / "metrics_seed7.csv").exists()
-
-    @pytest.mark.parametrize("env,flag,message", [
-        ("-1", None, "FEDCYCLE_SEED: must be >= 0, got -1"),
-        ("abc", None, "FEDCYCLE_SEED: expected int, got 'abc'"),
-        (None, "-2", "--seed-override: must be >= 0, got -2"),
-    ], ids=["env-negative", "env-not-int", "flag-negative"])
+    @pytest.mark.parametrize("flag,message", [
+        ("-2", "--seed-override: must be >= 0, got -2"),
+    ], ids=["flag-negative"])
     def test_bad_seed_override_refused_before_any_work(self, config_path, tmp_path, capsys,
-                                                       monkeypatch, env, flag, message):
-        if env is not None:
-            monkeypatch.setenv("FEDCYCLE_SEED", env)
+                                                       flag, message):
         outdir = tmp_path / "out"
-        argv = ["run", str(config_path), "--output-dir", str(outdir)]
-        assert main(argv + (["--seed-override", flag] if flag else [])) == 2
+        assert main(["run", str(config_path), "--output-dir", str(outdir),
+                     "--seed-override", flag]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_empty_output_dir_flag_refused(self, config_path, tmp_path, capsys,
+                                           monkeypatch, command):
+        """An empty --output-dir is refused, not read as "no flag", so a run
+        never writes to the config's output_dir in its place."""
+        monkeypatch.chdir(tmp_path)
+        assert main([command, str(config_path), "--output-dir", ""]) == 2
+        assert capsys.readouterr().err == "error: --output-dir: must name a directory, got ''\n"
+        assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
 
     def test_deterministic_metrics_bytes(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
