@@ -99,12 +99,20 @@ def scale_split(split: Split, kind: str) -> ScaledSplit:
     return ScaledSplit(cohorts[:-2], *cohorts[-2:], pooled)
 
 
-def _scaled(split: ScaledSplit, pooled: bool = False) -> ScaledSplit:
+def _scaled(split: ScaledSplit, cfg: ExperimentConfig, pooled: bool = False) -> ScaledSplit:
+    """`split`, once it is known to suit a run of `cfg`; checked before any training."""
     if not isinstance(split, ScaledSplit):  # a raw Split's features are unscaled
         raise TypeError(f"runs take a ScaledSplit (scale_split), got {type(split).__name__}")
     if pooled and split.pooled is None:
         raise TypeError("central and ensemble runs take scale_split(split, 'central') "
                         "or scale_split(split, 'ensemble'); this split has no pool")
+    head = cfg.model_specs[-1]
+    classes = 2 if head.kind == "sigmoid-head" else head.out_dim
+    if classes != split.test.num_classes:
+        raise ValueError(f"the model's {head.kind} scores {classes} classes, "
+                         f"the split has {split.test.num_classes}")
+    if cfg.top_k > classes:
+        raise ValueError(f"top_k={cfg.top_k} exceeds the model's {classes} classes")
     return split
 
 
@@ -249,7 +257,7 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset):
 
 def _scored_run(cfg: ExperimentConfig, visits, split: ScaledSplit) -> RunResult:
     """Train one model over `visits`, then score it on the test cohort once."""
-    model, rows, transfers, steps = _run_visits(cfg, visits, _scaled(split).validation)
+    model, rows, transfers, steps = _run_visits(cfg, visits, _scaled(split, cfg).validation)
     scores = evaluate(model, split.test, cfg.top_k)
     return RunResult(models=[model], metrics=rows, train_accuracy=rows[-1].train_accuracy,
                      validation_accuracy=rows[-1].validation_accuracy,
@@ -264,7 +272,8 @@ def run_single_institution(cfg: ExperimentConfig, split: ScaledSplit, index: int
 
 
 def run_central(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
-    return _scored_run(cfg, [(None, _scaled(split, pooled=True).pooled, cfg.max_epochs)], split)
+    pooled = _scaled(split, cfg, pooled=True).pooled
+    return _scored_run(cfg, [(None, pooled, cfg.max_epochs)], split)
 
 
 def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
@@ -276,7 +285,7 @@ def run_ensemble(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
     probabilities sample-wise, then threshold/argmax."""
     members, rows, _, steps = zip(*(
         _run_visits(replace(cfg, seed=cfg.seed + i), [(i, c, cfg.max_epochs)], split.validation)
-        for i, c in enumerate(_scaled(split, pooled=True).institutions)))
+        for i, c in enumerate(_scaled(split, cfg, pooled=True).institutions)))
 
     def score(cohort, k=1):
         return accuracy_from_probs(ensemble_predict(members, cohort.features),

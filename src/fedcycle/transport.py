@@ -290,20 +290,11 @@ class MemoryChannel:
         pass
 
 
-def _no_delay(sock: socket.socket) -> socket.socket:
-    """Send each write at once. Otherwise Nagle's algorithm holds the 1-byte
-    ACK after a frame until the peer's delayed ACK, about 40 ms per hand-off."""
-    import socket
-
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
-
-
 class SocketChannel:
-    """Hand-off over a loopback TCP connection.
+    """Hand-off over a connected socket pair.
 
-    A courier thread accepts one connection and returns each frame it
-    receives, so every transfer crosses a real socket in both directions.
+    A courier thread holds one end and returns each frame it receives, so
+    every transfer crosses a real byte stream in both directions.
     """
 
     def __init__(self):
@@ -311,36 +302,23 @@ class SocketChannel:
         import socket
         import threading
 
-        self._server = socket.create_server(("127.0.0.1", 0))
-        port = self._server.getsockname()[1]
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
+        self._sock, courier = socket.socketpair()
         try:
-            sock = socket.create_connection(("127.0.0.1", port), timeout=HANDOFF_TIMEOUT_S)
-        except OSError:
-            # close() alone does not wake the courier's accept(); shutdown does
-            self._server.shutdown(socket.SHUT_RDWR)
-            self._server.close()
-            self._thread.join(timeout=5)
+            self._sock.settimeout(HANDOFF_TIMEOUT_S)
+            self._thread = threading.Thread(target=self._serve, args=(courier,), daemon=True)
+            self._thread.start()
+        except BaseException:
+            self._sock.close()
+            courier.close()
             raise
-        self._sock = _no_delay(sock)
 
-    def _serve(self):
-        try:
-            conn, _ = self._server.accept()
-        except OSError:  # the server was shut down before a connection came
-            return
-        self._courier = _no_delay(conn)
+    def _serve(self, conn: socket.socket):
         with conn:
-            while True:
-                try:
-                    data = recv_frame(conn)
-                except (TruncationError, OSError):
-                    return
-                try:
-                    send_frame(conn, data)
-                except TransferFailedError:
-                    return
+            try:
+                while True:
+                    send_frame(conn, recv_frame(conn))
+            except (TruncationError, TransferFailedError, OSError):
+                pass  # the channel closed its end, or the stream broke
 
     def handoff(self, data: bytes) -> bytes:
         send_frame(self._sock, data)
@@ -353,10 +331,7 @@ class SocketChannel:
         return back
 
     def close(self):
-        try:
-            self._sock.close()
-        finally:
-            self._server.close()
+        self._sock.close()  # the courier reads the end of its stream and returns
         self._thread.join(timeout=5)
 
 

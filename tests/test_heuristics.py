@@ -440,6 +440,14 @@ class TestScalingSweep:
                 run_scaling_sweep(tiny_config(), tiny_scaled("sweep", k=2), m_values)
 
 
+# Every run function, called as run(cfg, split); the sweep runs m = 1 and 2.
+every_run = pytest.mark.parametrize("run", [
+    lambda cfg, split: run_single_institution(cfg, split, 0), run_central, run_ensemble,
+    run_single_weight_transfer, lambda cfg, split: run_cyclical_weight_transfer(cfg, split, 1),
+    lambda cfg, split: run_scaling_sweep(cfg, split, [1, 2]),
+], ids=["single", "central", "ensemble", "single_transfer", "cyclical", "sweep"])
+
+
 class TestDispatch:
     @pytest.mark.parametrize("kind", ["single", "central", "ensemble",
                                       "single_transfer", "cyclical"])
@@ -451,11 +459,7 @@ class TestDispatch:
         with pytest.raises(ValueError):
             run_heuristic(tiny_config(), tiny_scaled("central"), "gossip")
 
-    @pytest.mark.parametrize("run", [
-        lambda cfg, split: run_single_institution(cfg, split, 0), run_central, run_ensemble,
-        run_single_weight_transfer, lambda cfg, split: run_cyclical_weight_transfer(cfg, split, 1),
-        lambda cfg, split: run_scaling_sweep(cfg, split, [1, 2]),
-    ], ids=["single", "central", "ensemble", "single_transfer", "cyclical", "sweep"])
+    @every_run
     def test_raw_split_refused_before_training(self, monkeypatch, run):
         """A raw Split has unscaled features: every run refuses it before it
         builds a model."""
@@ -463,6 +467,21 @@ class TestDispatch:
                             lambda cfg: pytest.fail("a run began on a raw Split"))
         with pytest.raises(TypeError, match="ScaledSplit"):
             run(tiny_config(), tiny_split())
+
+    @every_run
+    @pytest.mark.parametrize("overrides, classes, message", [
+        ({"num_classes": 2}, 3, "sigmoid-head scores 2 classes, the split has 3"),
+        ({"num_classes": 3}, 4, "softmax-head scores 3 classes, the split has 4"),
+        ({"top_k": 3}, 2, "top_k=3 exceeds the model's 2 classes"),
+    ], ids=["sigmoid_head_3_classes", "softmax_head_4_classes", "top_3_of_2"])
+    def test_unfit_model_refused_before_training(self, monkeypatch, run, overrides,
+                                                 classes, message):
+        """A head that scores another class count than the split's labels, or
+        a top_k past that count, stops every run before it builds a model."""
+        monkeypatch.setattr(heuristics, "_build_model",
+                            lambda cfg: pytest.fail("a run began with a model unfit for its split"))
+        with pytest.raises(ValueError, match=message):
+            run(tiny_config(**overrides), tiny_scaled("central", num_classes=classes))
 
     @pytest.mark.parametrize("run", [run_central, run_ensemble])
     def test_poolless_split_refused_before_training(self, monkeypatch, run):

@@ -458,15 +458,27 @@ class TestChannels:
             ExperimentConfig(SPECS, OptimizerConfig("adam", 1e-3), PlateauPolicy(20, 0.25, 3),
                              transport="carrier-pigeon")
 
-    def test_failed_connect_leaves_no_courier(self, monkeypatch):
-        """A channel whose connection fails raises, and leaves no courier
-        thread blocked in accept() behind it."""
-        def refuse(*args, **kwargs):
-            raise OSError(24, "Too many open files")
+    @pytest.mark.parametrize("target, name, error", [
+        (socket, "socketpair", OSError(24, "Too many open files")),
+        (threading.Thread, "start", RuntimeError("can't start new thread")),
+    ], ids=["socketpair", "thread_start"])
+    def test_failed_setup_leaves_nothing_open(self, monkeypatch, target, name, error):
+        """A channel that cannot make its socket pair or start its courier
+        raises, and leaves no socket open and no courier running."""
+        pairs, real_socketpair = [], socket.socketpair
+
+        def socketpair():
+            pairs.append(real_socketpair())
+            return pairs[-1]
+
+        def fail(*args, **kwargs):
+            raise error
         before = set(threading.enumerate())
-        monkeypatch.setattr(socket, "create_connection", refuse)
-        with pytest.raises(OSError, match="Too many open files"):
+        monkeypatch.setattr(socket, "socketpair", socketpair)
+        monkeypatch.setattr(target, name, fail)
+        with pytest.raises(type(error), match=str(error.args[-1])):
             SocketChannel()
+        assert all(sock.fileno() == -1 for pair in pairs for sock in pair)
         assert set(threading.enumerate()) <= before
 
     @pytest.mark.parametrize("returns_ack", [False, True])
@@ -474,8 +486,7 @@ class TestChannels:
         """A courier that never acknowledges the frame, or acknowledges it
         but never sends it back, fails the hand-off instead of hanging."""
         class StalledChannel(SocketChannel):
-            def _serve(self):
-                conn, _ = self._server.accept()
+            def _serve(self, conn):
                 with conn:
                     if returns_ack:
                         recv_frame(conn)
@@ -491,14 +502,14 @@ class TestChannels:
             channel.close()
         assert not channel._thread.is_alive()
 
-    def test_socket_channel_sets_no_delay(self):
-        """Both ends send without Nagle delay, so the 1-byte ACK after each
-        frame does not wait out the peer's delayed-ACK timer."""
+    def test_socket_channel_large_packets(self):
+        """A 4 MiB packet, many times a socket buffer, makes 20 round trips
+        without a stall: each end reads while the other writes."""
+        data = bytes(np.random.default_rng(0).integers(0, 256, 4 << 20, dtype=np.uint8))
         channel = SocketChannel()
         try:
-            channel.handoff(b"abc")
-            for sock in (channel._sock, channel._courier):
-                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+            for _ in range(20):
+                assert channel.handoff(data) == data
         finally:
             channel.close()
 
