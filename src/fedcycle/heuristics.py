@@ -17,7 +17,7 @@ import numpy as np
 from . import transport
 from .data import Dataset, DegenerateFeatureError, augment, normalize
 from .nn import (ModelState, OptimizerConfig, OptState, backward, forward,
-                 init_model, loss, mlp_specs, opt_step)
+                 init_model, layout_of, loss, mlp_specs, opt_step)
 from .partition import Split, pool
 from .schedule import (CONTINUE, STOP, ExpDecayPolicy, PlateauPolicy,
                        PlateauState, exp_decay_lr, observe)
@@ -106,7 +106,11 @@ def _scaled(split: ScaledSplit, cfg: ExperimentConfig, pooled: bool = False) -> 
     if pooled and split.pooled is None:
         raise TypeError("central and ensemble runs take scale_split(split, 'central') "
                         "or scale_split(split, 'ensemble'); this split has no pool")
-    head = cfg.model_specs[-1]
+    specs = layout_of(cfg.model_specs).specs  # refuses an empty or headless list
+    if specs[0].in_dim != split.test.feature_dim:
+        raise ValueError(f"the model takes {specs[0].in_dim} features, "
+                         f"the split has {split.test.feature_dim}")
+    head = specs[-1]
     classes = 2 if head.kind == "sigmoid-head" else head.out_dim
     if classes != split.test.num_classes:
         raise ValueError(f"the model's {head.kind} scores {classes} classes, "
@@ -138,6 +142,8 @@ def accuracy_from_probs(probs: np.ndarray, labels: np.ndarray, k: int = 1) -> di
     else:
         pred = np.argmax(probs, axis=1)
         num_classes = probs.shape[1]
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > num_classes:
         raise ValueError(f"k={k} exceeds {num_classes} classes")
     top1 = int(np.count_nonzero(pred == labels)) / len(labels)

@@ -519,23 +519,13 @@ def opt_step(model: ModelState, g: np.ndarray, cfg: OptimizerConfig,
     return model
 
 
-def has_flat_relu(model: ModelState, features: np.ndarray) -> bool:
-    """True if some relu unit is inactive for every sample in the batch.
-
-    Such a unit makes the loss locally flat in its incoming parameters, so
-    a finite-difference probe there measures only float round-off.
-    """
-    fp = forward(model, features, pure=True)
-    return any(spec.kind == "relu" and not np.all((x > 0.0).any(axis=0))
-               for spec, x in zip(model.specs, fp.ins))
-
-
 def grad_check(model: ModelState, features: np.ndarray, labels: np.ndarray,
                l2_coeff: float = 0.0, h: float | tuple = 1e-5) -> float:
     """Max relative error of backward() vs central finite differences.
 
-    Runs with dropout forced to the identity and frozen batch-norm running
-    stats so the loss is a deterministic function of the parameters.
+    Runs pure passes: dropout is the identity and batch norm normalizes
+    with the batch's statistics, leaving its running statistics alone, so
+    the loss is a deterministic function of the parameters.
     Relative error per entry is |analytic - numeric| / max(|analytic|,
     |numeric|, 1e-8). When `h` is a tuple of step sizes, each entry keeps
     its best step (small steps lose near-flat directions to round-off,
@@ -574,13 +564,11 @@ def grad_check(model: ModelState, features: np.ndarray, labels: np.ndarray,
     return worst
 
 
-def gradcheck_suite(n_seeds: int = 20, h=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3)) -> float:
+def gradcheck_suite(n_seeds: int = 20) -> float:
     """Max grad_check error over a battery of architectures and seeds.
 
     Builds its models with mlp_specs, as the program does: affine, relu,
     batch norm, dropout (disabled path), both heads, with and without L2.
-    Draws with a batch-wide dead relu unit are redrawn: the loss is flat
-    there and central differences resolve only round-off noise.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -595,15 +583,10 @@ def gradcheck_suite(n_seeds: int = 20, h=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3)) -> floa
         for num_classes, l2, with_bn, drop in configs:
             specs = mlp_specs(4, [8], num_classes, batchnorm=with_bn, dropout=drop)
             opt = OptimizerConfig("sgd-momentum", learning_rate=0.01, l2_coeff=l2)
-            for attempt in range(16):
-                rng = np.random.default_rng([seed, 3, attempt])
-                features = rng.normal(size=(16, 4))
-                labels = rng.integers(0, num_classes, 16)
-                model = init_model(specs, opt, rng)
-                if not has_flat_relu(model, features):
-                    break
-            else:
-                raise RuntimeError("could not draw a non-degenerate model")
-            err = grad_check(model, features, labels, l2_coeff=l2, h=h)
-            worst = max(worst, err)
+            rng = np.random.default_rng([seed, 3, 0])
+            features = rng.normal(size=(16, 4))
+            labels = rng.integers(0, num_classes, 16)
+            model = init_model(specs, opt, rng)
+            worst = max(worst, grad_check(model, features, labels, l2_coeff=l2,
+                                          h=(1e-5, 3e-5, 1e-4, 3e-4, 1e-3)))
     return worst

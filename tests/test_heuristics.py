@@ -62,8 +62,16 @@ class TestAccuracy:
         assert scores["topk"] == 0.5
 
     def test_topk_exceeding_classes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k=3 exceeds 2 classes"):
             accuracy_from_probs(np.array([[0.6, 0.4]]), np.array([0]), k=3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("probs", [[[0.2, 0.5, 0.3]], [[0.7]]], ids=["softmax", "sigmoid"])
+    def test_topk_below_one_rejected(self, probs, k):
+        """k=0 would score nothing and k=-1 would slice off the last-ranked
+        class (scoring top-(C-1)); both are refused."""
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            accuracy_from_probs(np.array(probs), np.array([1]), k=k)
 
     def test_top_all_classes_is_one(self):
         rng = np.random.default_rng(0)
@@ -473,11 +481,17 @@ class TestDispatch:
         ({"num_classes": 2}, 3, "sigmoid-head scores 2 classes, the split has 3"),
         ({"num_classes": 3}, 4, "softmax-head scores 3 classes, the split has 4"),
         ({"top_k": 3}, 2, "top_k=3 exceeds the model's 2 classes"),
-    ], ids=["sigmoid_head_3_classes", "softmax_head_4_classes", "top_3_of_2"])
+        ({"model_specs": []}, 2, "empty layer list"),
+        ({"model_specs": [LayerSpec("affine", 3, 2)]}, 2, "exactly one head layer"),
+        ({"model_specs": mlp_specs(5, [8], 2)}, 2, "the model takes 5 features, the split has 3"),
+    ], ids=["sigmoid_head_3_classes", "softmax_head_4_classes", "top_3_of_2",
+            "no_layers", "no_head", "5_features_of_3"])
     def test_unfit_model_refused_before_training(self, monkeypatch, run, overrides,
                                                  classes, message):
-        """A head that scores another class count than the split's labels, or
-        a top_k past that count, stops every run before it builds a model."""
+        """An empty or headless layer list, an input width other than the
+        split's feature count, a head that scores another class count than
+        the split's labels, or a top_k past that count, stops every run
+        before it builds a model."""
         monkeypatch.setattr(heuristics, "_build_model",
                             lambda cfg: pytest.fail("a run began with a model unfit for its split"))
         with pytest.raises(ValueError, match=message):

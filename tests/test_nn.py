@@ -9,8 +9,7 @@ from fedcycle.data import Dataset
 from fedcycle.heuristics import ExperimentConfig, mlp_specs, train_on
 from fedcycle.nn import (HEAD_KINDS, LAYER_KINDS, OPT_ROLES, LayerSpec, OptimizerConfig,
                          backward, forward, glorot_init, grad_check, gradcheck_suite,
-                         has_flat_relu, init_model, loss, opt_step,
-                         validate_specs, workspace)
+                         init_model, loss, opt_step, validate_specs, workspace)
 from fedcycle.schedule import PlateauPolicy
 from test_transport import GOLDEN_MODELS
 
@@ -200,37 +199,45 @@ class TestBackward:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
-        """A draw with a batch-wide dead relu unit is redrawn, as
-        gradcheck_suite does: the loss is flat there and central differences
-        measure only round-off."""
         specs = [LayerSpec("affine", 3, 5), LayerSpec("relu", 5, 5),
                  LayerSpec("sigmoid-head", 5, 1)]
-        for attempt in range(16):
-            rng = np.random.default_rng([seed, attempt] if attempt else seed)
-            m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
-            x = rng.normal(size=(8, 3))
-            if not has_flat_relu(m, x):
-                break
-        else:
-            pytest.fail("no draw without a batch-wide dead relu unit")
+        rng = np.random.default_rng(seed)
+        m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
+        x = rng.normal(size=(8, 3))
         err = grad_check(m, x, rng.integers(0, 2, 8), h=(1e-5, 1e-4, 1e-3))
         assert err < 1e-4
+
+    @pytest.mark.parametrize("head, out_dim", [("sigmoid-head", 1), ("softmax-head", 3)])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_dead_relu_unit_checks_clean(self, head, out_dim, l2):
+        """A relu unit that is off for every row of the batch has an
+        analytic and a numeric gradient of exactly 0 in its incoming
+        weights and bias (bar the L2 term), so the check holds there too."""
+        specs = [LayerSpec("affine", 3, 5), LayerSpec("relu", 5, 5),
+                 LayerSpec(head, 5, out_dim)]
+        rng = np.random.default_rng(5)
+        m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1, l2_coeff=l2), rng)
+        x = rng.normal(size=(8, 3))
+        y = rng.integers(0, max(out_dim, 2), 8)
+        dead = 2
+        m.params[0]["b"][0, dead] = -1.0 - np.max(x @ m.params[0]["W"][:, dead])
+        fp = forward(m, x, pure=True)
+        assert (fp.ins[1][:, dead] < 0.0).all()
+        g = m.layout.views(backward(m, fp, y, l2_coeff=l2))[0]
+        assert np.array_equal(g["W"][:, dead], l2 * m.params[0]["W"][:, dead])
+        assert g["b"][0, dead] == 0.0
+        assert grad_check(m, x, y, l2_coeff=l2, h=(1e-5, 1e-4, 1e-3)) < 1e-4
 
     def test_dropout_matches_finite_differences(self):
         """grad_check runs dropout as the identity. Here every pass is a
         train-mode pass whose mask comes from the same seed, so the loss is
         a function of the parameters alone and central differences check
-        the masked backward pass. Dead-relu draws are redrawn as above."""
+        the masked backward pass."""
         specs = [LayerSpec("affine", 3, 5), LayerSpec("relu", 5, 5),
                  LayerSpec("dropout", 5, 5, 0.5), LayerSpec("sigmoid-head", 5, 1)]
-        for attempt in range(16):
-            rng = np.random.default_rng([7, attempt])
-            m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
-            x = rng.normal(size=(8, 3))
-            if not has_flat_relu(m, x):
-                break
-        else:
-            pytest.fail("no draw without a batch-wide dead relu unit")
+        rng = np.random.default_rng([7, 0])
+        m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
+        x = rng.normal(size=(8, 3))
         y = rng.integers(0, 2, 8)
 
         def train_pass():
