@@ -22,6 +22,10 @@ from .schedule import ExpDecayPolicy, PlateauPolicy
 # The config key of each parameter whose key is not its name; None marks a
 # parameter that no experiment file sets (the CLI's --transport sets it).
 _KEYS = {"l2_coeff": "l2", "carry_opt_state": "carry_optimizer_state", "transport": None}
+# Per section, each key that only one of its kinds reads, and that kind; any other refuses it.
+_ONLY = {"optimizer": {"momentum": "sgd-momentum", "beta1": "adam", "beta2": "adam",
+                       "epsilon": "adam"},
+         "schedule": {"decay": "exp", "period": "exp"}}
 
 
 class ConfigError(ValueError):
@@ -150,10 +154,14 @@ def _plan(dataset: dict, split: dict, model: dict, optimizer: dict, schedule: di
     if dataset.get("kind") != "csv":
         seed_value(dataset.get("seed", 0), "dataset.seed")
     plateau, exp_decay = _read(_schedule, schedule, "schedule")
+    opt = _read(OptimizerConfig, {"kind": "sgd-momentum", **optimizer}, "optimizer")
+    for where, section, kind in (("optimizer", optimizer, opt.kind),
+                                 ("schedule", schedule, schedule.get("kind", "plateau"))):
+        for key, only in _ONLY[where].items():
+            if key in section and kind != only:
+                raise ConfigError(f"{where}.{key}: read by kind {only} only, not {kind}")
     # model_specs depend on the dataset and are filled in build_experiment.
-    base = _read(ExperimentConfig, training, "training", model_specs=[],
-                 optimizer=_read(OptimizerConfig, {"kind": "sgd-momentum", **optimizer},
-                                 "optimizer"),
+    base = _read(ExperimentConfig, training, "training", model_specs=[], optimizer=opt,
                  plateau=plateau, exp_decay=exp_decay, seed=seeds[0])
     return ExperimentPlan(dataset=dataset, split_plan=split_plan, heuristic=heur,
                           base_config=base, model_shape=_read(_model, model, "model"),

@@ -125,33 +125,25 @@ def predict_proba(model: ModelState, features: np.ndarray) -> np.ndarray:
     return forward(model, features, train=False).probs
 
 
-def _prob_matrix(probs: np.ndarray) -> np.ndarray:
-    if probs.shape[1] == 1:
-        p = probs[:, 0]
-        return np.stack([1.0 - p, p], axis=1)
-    return probs
-
-
 def accuracy_from_probs(probs: np.ndarray, labels: np.ndarray, k: int = 1) -> dict:
-    """top1/topk from a probability table; sigmoid column uses the >= 0.5
-    rule, multiclass argmax ties go to the lowest class index."""
+    """top1/topk from a model's output, by the one prediction rule: a sigmoid
+    column (n, 1) predicts class 1 at p >= 0.5, a softmax table (n, C) its
+    argmax, ties going to the lowest class index. Top-k counts a row whose
+    label is among its k highest-ranked classes, so k = C counts every row."""
     labels = np.asarray(labels)
-    if probs.shape[1] == 1:
-        pred = probs[:, 0] >= 0.5
-        num_classes = 2
-    else:
-        pred = np.argmax(probs, axis=1)
-        num_classes = probs.shape[1]
+    num_classes = max(2, probs.shape[1])
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > num_classes:
         raise ValueError(f"k={k} exceeds {num_classes} classes")
+    pred = probs[:, 0] >= 0.5 if probs.shape[1] == 1 else np.argmax(probs, axis=1)
     top1 = int(np.count_nonzero(pred == labels)) / len(labels)
     if k == 1:
         topk = top1
+    elif k == num_classes:  # every label is among all the classes
+        topk = 1.0
     else:
-        table = _prob_matrix(probs)
-        ranked = np.argsort(-table, axis=1, kind="stable")[:, :k]
+        ranked = np.argsort(-probs, axis=1, kind="stable")[:, :k]
         topk = int(np.count_nonzero((ranked == labels[:, None]).any(axis=1))) / len(labels)
     return {"top1": top1, "topk": topk}
 
@@ -283,12 +275,13 @@ def run_central(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
 
 
 def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
-    return np.mean([_prob_matrix(predict_proba(m, features)) for m in models], axis=0)
+    """The members' mean output, shaped as one member's `predict_proba`."""
+    return np.mean([predict_proba(m, features) for m in models], axis=0)
 
 
 def run_ensemble(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
-    """Train one model per institution (seeds seed+i), average output
-    probabilities sample-wise, then threshold/argmax."""
+    """Train one model per institution (seeds seed+i), then score the mean of
+    their outputs as one model's output."""
     members, rows, _, steps = zip(*(
         _run_visits(replace(cfg, seed=cfg.seed + i), [(i, c, cfg.max_epochs)], split.validation)
         for i, c in enumerate(_scaled(split, cfg, pooled=True).institutions)))

@@ -11,8 +11,8 @@ Wire layout (little-endian throughout):
     payload          per tensor: rows u32, cols u32, then rows*cols f64
     crc              u32      CRC-32 (IEEE) of all preceding bytes
 
-Socket transfers are length-prefixed frames (u64 length, then the packet),
-acknowledged with a single status byte before the sender proceeds.
+Socket transfers are length-prefixed frames (u64 length, then the packet).
+The courier echoes each frame back, and the echo is the acknowledgement.
 """
 from __future__ import annotations
 
@@ -246,21 +246,14 @@ def deserialize(data: bytes, specs) -> tuple[ModelState, PacketMeta]:
 # --- channels -------------------------------------------------------------
 
 _LEN = struct.Struct("<Q")
-ACK_OK = b"\x00"
 # Longest wait, in seconds, for any one socket operation of a hand-off. The
 # courier answers at once, so only a dead or stalled one reaches it.
 HANDOFF_TIMEOUT_S = 30.0
 
 
 def send_frame(sock: socket.socket, data: bytes) -> None:
-    """Length-prefixed send; blocks until the receiver acknowledges."""
-    try:
-        sock.sendall(_LEN.pack(len(data)) + data)
-        status = _recv_exact(sock, 1)
-    except (OSError, TruncationError) as exc:
-        raise TransferFailedError(f"send failed: {exc}") from exc
-    if status != ACK_OK:
-        raise TransferFailedError(f"receiver reported status {status!r}")
+    """Length-prefixed send of one frame."""
+    sock.sendall(_LEN.pack(len(data)) + data)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -275,9 +268,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def recv_frame(sock: socket.socket) -> bytes:
     (length,) = _LEN.unpack(_recv_exact(sock, _LEN.size))
-    data = _recv_exact(sock, length)
-    sock.sendall(ACK_OK)
-    return data
+    return _recv_exact(sock, length)
 
 
 class MemoryChannel:
@@ -317,15 +308,15 @@ class SocketChannel:
             try:
                 while True:
                     send_frame(conn, recv_frame(conn))
-            except (TruncationError, TransferFailedError, OSError):
+            except (TruncationError, OSError):
                 pass  # the channel closed its end, or the stream broke
 
     def handoff(self, data: bytes) -> bytes:
-        send_frame(self._sock, data)
         try:
+            send_frame(self._sock, data)
             back = recv_frame(self._sock)
         except (OSError, TruncationError) as exc:
-            raise TransferFailedError(f"receive failed: {exc}") from exc
+            raise TransferFailedError(f"hand-off failed: {exc}") from exc
         if back != data:
             raise CorruptionError("loopback frame mismatch")
         return back

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from fedcycle.data import gen_synthetic
-from fedcycle.heuristics import (ExperimentConfig, ensemble_predict, evaluate,
-                                 mlp_specs, run_central,
+from fedcycle.heuristics import (ExperimentConfig, accuracy_from_probs,
+                                 ensemble_predict, evaluate, mlp_specs,
+                                 predict_proba, run_central,
                                  run_cyclical_weight_transfer, run_ensemble,
                                  run_scaling_sweep, run_single_institution,
                                  run_single_weight_transfer, scale_split)
@@ -362,14 +363,14 @@ class TestCriterion9:
         split = stratified_split(ds, plan)
         cfg = desk_config(5, model_specs=mlp_specs(8, [16], 2),
                           plateau=PlateauPolicy(5, 0.25, 1), max_epochs=60)
-        model = run_single_institution(cfg, scale_split(split, "single"), 0).models[0]
-        features = split.test.features
-        single = ensemble_predict([model], features)
-        copies = ensemble_predict([model] * len(split.institutions), features)
-        probs_equal = np.array_equal(single, copies)
-        preds_equal = np.array_equal(np.argmax(single, axis=1),
-                                     np.argmax(copies, axis=1))
+        scaled = scale_split(split, "single")
+        model = run_single_institution(cfg, scaled, 0).models[0]
+        test = scaled.test
+        copies = ensemble_predict([model] * len(split.institutions), test.features)
+        probs_equal = np.array_equal(copies, predict_proba(model, test.features))
+        preds_equal = (accuracy_from_probs(copies, test.labels)["top1"]
+                       == evaluate(model, test)["top1"])
         ok = probs_equal and preds_equal
-        report(9, ok, f"ensemble of {len(split.institutions)} identical models: "
-                      f"probabilities bitwise equal {probs_equal}, "
-                      f"predictions equal {preds_equal} on {len(features)} samples")
+        report(9, ok, f"ensemble of {len(split.institutions)} copies of one model: "
+                      f"probabilities bitwise equal to the model's {probs_equal}, "
+                      f"top-1 equal {preds_equal} on {len(test)} samples")

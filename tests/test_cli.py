@@ -496,7 +496,7 @@ def test_run_digest(tmp_path, kind, transport, digests):
     pytest.param([("schedule:\n", "schedule:\n  kind: exp\n  decay: 0.99\n")],
                  ["4aba0fbe9a092177", "3e207023a595554b", "033a65674591a007",
                   DEMO_MANIFEST], id="exp_decay"),
-    pytest.param([("kind: sgd-momentum", "kind: adam"),
+    pytest.param([("kind: sgd-momentum", "kind: adam"), ("\n  momentum: 0.9", ""),
                   ("max_epochs: 500", "max_epochs: 500\n  carry_optimizer_state: false")],
                  ["3f8ee51c28e7fbb6", "3e7a24bbed94d5a8", "585f9003ebec50b4",
                   DEMO_MANIFEST], id="adam_state_reset"),

@@ -224,6 +224,7 @@ INVALID_AT_LOAD = [
     ("seed: 1", "seed: -3", "split.seed"),
     ("seeds: [1, 2]", "seeds: [-1]", "seeds[0]"),
     ("seeds: [1, 2]", "seeds: [0, 0]", "seeds"),
+    ("seeds: [1, 2]", "seeds: []", "seeds"),
     ("max_decays: 2", "max_decays: 26", "schedule.max_decays"),
     ("learning_rate: 0.001", "learning_rate: 0.001\n  beta1: 1.0", "optimizer.beta1"),
     ("learning_rate: 0.001", "learning_rate: 0.001\n  beta2: -0.5", "optimizer.beta2"),
@@ -241,6 +242,13 @@ INVALID_AT_LOAD = [
     ("learning_rate: 0.001", "learning_rate: 0.001\n  epsilon: .inf", "optimizer.epsilon"),
     # an empty path would write into the working directory
     ("output_dir: out", 'output_dir: ""', "output_dir"),
+    # a key that only another kind reads would be dropped without a word
+    ("learning_rate: 0.001", "learning_rate: 0.001\n  momentum: 0.5", "optimizer.momentum"),
+    *(("kind: adam\n  learning_rate: 0.001",
+       f"kind: sgd-momentum\n  learning_rate: 0.001\n  {key}: 0.5", f"optimizer.{key}")
+      for key in ("beta1", "beta2", "epsilon")),
+    ("patience: 5", "patience: 5\n  decay: 0.5", "schedule.decay"),
+    ("patience: 5", "patience: 5\n  period: 3", "schedule.period"),
 ]
 
 

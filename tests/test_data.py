@@ -192,11 +192,19 @@ class TestDatasetOps:
         merged = concat([ds.subset(np.arange(0, 90)), ds.subset(np.arange(90, 180))])
         assert np.array_equal(merged.features, ds.features)
 
+    def test_concat_nothing(self):
+        with pytest.raises(ValueError, match="nothing to concatenate"):
+            concat([])
+
     def test_concat_class_mismatch(self):
         a = make_dataset(num_classes=2)
         b = make_dataset(num_classes=3, n_patients=90)
         with pytest.raises(ValueError):
             concat([a, b])
+
+    def test_misaligned_arrays_rejected(self):
+        with pytest.raises(ValueError, match="patient_ids, features, labels must align"):
+            Dataset(np.array(["a", "b"]), np.array([[1.0]]), np.array([0]), 2)
 
     def test_nonfinite_features_rejected(self):
         with pytest.raises(ValueError):

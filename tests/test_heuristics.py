@@ -287,10 +287,23 @@ class TestEnsemble:
         models = [init_model(specs, OptimizerConfig("adam", 1e-3),
                              np.random.default_rng(s)) for s in range(3)]
         x = np.random.default_rng(9).normal(size=(5, 2))
-        table = ensemble_predict(models, x)
-        stacked = [predict_proba(m, x)[:, 0] for m in models]
-        assert np.allclose(table[:, 1], np.mean(stacked, axis=0))
-        assert np.allclose(table.sum(axis=1), 1.0)
+        column = ensemble_predict(models, x)
+        assert column.shape == (5, 1)
+        assert np.array_equal(column, np.mean([predict_proba(m, x) for m in models], axis=0))
+
+    def test_tie_scored_as_single_model(self):
+        """A sigmoid head with zero weights and bias outputs p = 0.5 exactly,
+        which predicts class 1; so does an ensemble of copies of it."""
+        model = init_model(mlp_specs(3, [8], 2), OptimizerConfig("adam", 1e-3),
+                           np.random.default_rng(0))
+        model.params[-1]["W"][...] = 0.0
+        model.params[-1]["b"][...] = 0.0
+        cohort = tiny_split().test
+        cohort = replace(cohort, labels=np.ones_like(cohort.labels))
+        assert np.all(predict_proba(model, cohort.features) == 0.5)
+        merged = ensemble_predict([model] * 4, cohort.features)
+        assert evaluate(model, cohort) == accuracy_from_probs(merged, cohort.labels)
+        assert evaluate(model, cohort)["top1"] == 1.0
 
 
 class TestSingleWeightTransfer:

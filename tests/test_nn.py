@@ -142,6 +142,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LayerSpec("softmax-head", 4, 1)
 
+    @pytest.mark.parametrize("args, message", [
+        (("conv", 2, 2), "unknown layer kind 'conv'"),
+        (("affine", 2.0, 2), "layer dimensions must be integers"),
+        (("affine", 2, "2"), "layer dimensions must be integers"),
+        (("dropout", 2, 2, "0.5"), "dropout_rate must be a real number"),
+        (("relu", 2, 3), "relu layer must preserve width"),
+    ], ids=["kind", "in_dim", "out_dim", "dropout_rate", "relu_width"])
+    def test_bad_spec_refused(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LayerSpec(*args)
+
+    def test_train_mode_dropout_needs_generator(self):
+        specs = [LayerSpec("dropout", 2, 2, 0.5), LayerSpec("sigmoid-head", 2, 1)]
+        m = init_model(specs, OptimizerConfig("adam", 0.1), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="train-mode dropout needs a generator"):
+            forward(m, np.ones((3, 2)))
+
 
 class TestLoss:
     def test_half_probability(self):
@@ -158,6 +175,11 @@ class TestLoss:
         m = sigmoid_model([[0, 0], [0, 0]], [0, 0], [0, 0], 0.0)
         val = loss(np.array([[0.9], [0.1]]), np.array([1, 0]), m, 0.0)
         assert val == pytest.approx(0.105361, abs=1e-6)
+
+    def test_batch_size_mismatch_refused(self):
+        m = sigmoid_model([[0, 0], [0, 0]], [0, 0], [0, 0], 0.0)
+        with pytest.raises(ValueError, match="probs and labels must share a batch size"):
+            loss(np.array([[0.5], [0.5]]), np.array([1]), m, 0.0)
 
     def test_extreme_probability_clamped(self):
         m = sigmoid_model([[0, 0], [0, 0]], [0, 0], [0, 0], 0.0)

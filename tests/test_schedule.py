@@ -153,3 +153,8 @@ class TestExpDecay:
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
             exp_decay_lr(-1, 0.001, ExpDecayPolicy(0.99))
+
+    @pytest.mark.parametrize("lr0", [0.0, -0.001, math.nan])
+    def test_nonpositive_lr0_rejected(self, lr0):
+        with pytest.raises(ValueError, match="lr0 must be > 0"):
+            exp_decay_lr(0, lr0, ExpDecayPolicy(0.99))

@@ -2,6 +2,7 @@ import hashlib
 import socket
 import struct
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -79,6 +80,13 @@ class TestSerialize:
         m = make_model()
         m.params[0]["W"][0, 0] = np.nan
         with pytest.raises(ValueError):
+            serialize(m)
+
+    @pytest.mark.parametrize("role", ["m", "v"])
+    def test_wrong_size_opt_state_refused(self, role):
+        m = make_model()
+        m.opt_state.flat[role] = np.zeros(m.layout.size + 1)
+        with pytest.raises(ValueError, match="model arrays do not match the model's layer specs"):
             serialize(m)
 
     def test_meta_fields(self):
@@ -224,6 +232,18 @@ class TestDeserializeErrors:
         data = serialize(make_model())
         with pytest.raises(TruncationError):
             read_meta(data[: len(data) // 2])
+
+    def test_magic_alone_is_truncated(self):
+        with pytest.raises(TruncationError, match="packet shorter than header \\+ checksum"):
+            read_meta(b"FWT1")
+
+    def test_tensor_header_running_into_crc(self):
+        """Three bytes between the last tensor and the CRC start a tensor
+        header that the packet's end cuts off."""
+        body = serialize(make_model())[:-4] + b"\x01\x00\x00"
+        data = body + struct.pack("<I", zlib.crc32(body))
+        with pytest.raises(TruncationError, match="packet ends inside a tensor header"):
+            read_meta(data)
 
     def test_architecture_mismatch(self):
         data = serialize(make_model())
@@ -481,23 +501,45 @@ class TestChannels:
         assert all(sock.fileno() == -1 for pair in pairs for sock in pair)
         assert set(threading.enumerate()) <= before
 
-    @pytest.mark.parametrize("returns_ack", [False, True])
-    def test_stalled_courier_times_out(self, monkeypatch, returns_ack):
-        """A courier that never acknowledges the frame, or acknowledges it
-        but never sends it back, fails the hand-off instead of hanging."""
+    @pytest.mark.parametrize("reads_frame", [False, True], ids=["never_reads", "reads_frame"])
+    def test_stalled_courier_times_out(self, monkeypatch, reads_frame):
+        """A courier that never reads the frame, so the send stalls once the
+        socket buffers fill, or reads it but never echoes it, so the receive
+        stalls, fails the hand-off within HANDOFF_TIMEOUT_S instead of hanging."""
+        released = threading.Event()
+
         class StalledChannel(SocketChannel):
             def _serve(self, conn):
                 with conn:
-                    if returns_ack:
+                    if reads_frame:
                         recv_frame(conn)
-                    while conn.recv(65536):
-                        pass
+                    released.wait()
 
         monkeypatch.setattr(transport, "HANDOFF_TIMEOUT_S", 0.2)
         channel = StalledChannel()
         try:
-            with pytest.raises(TransferFailedError):
-                channel.handoff(b"abc")
+            start = time.monotonic()
+            with pytest.raises(TransferFailedError, match="hand-off failed: timed out"):
+                channel.handoff(bytes(4 << 20))  # many times a socket buffer
+            assert time.monotonic() - start < 10 * transport.HANDOFF_TIMEOUT_S
+        finally:
+            released.set()
+            channel.close()
+        assert not channel._thread.is_alive()
+
+    def test_altered_echo_is_corruption(self):
+        """A courier that returns other bytes than it was given fails the
+        hand-off with CorruptionError."""
+        class AlteringChannel(SocketChannel):
+            def _serve(self, conn):
+                with conn:
+                    frame = recv_frame(conn)
+                    send_frame(conn, frame[:-1] + bytes([frame[-1] ^ 1]))
+
+        channel = AlteringChannel()
+        try:
+            with pytest.raises(CorruptionError, match="loopback frame mismatch"):
+                channel.handoff(serialize(make_model()))
         finally:
             channel.close()
         assert not channel._thread.is_alive()
