@@ -83,6 +83,8 @@ def _prepare(args):
         if args.seed_override is not None:
             plan = replace(plan, seeds=(seed_value(args.seed_override, "--seed-override"),))
         if args.freq is not None:
+            if kind not in ("cyclical", "sweep"):
+                raise ConfigError(f"--freq: read by kinds cyclical and sweep only, not {kind}")
             try:
                 plan = replace(plan, heuristic=replace(plan.heuristic, frequency=args.freq))
             except ValueError as exc:

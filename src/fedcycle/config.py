@@ -25,7 +25,8 @@ _KEYS = {"l2_coeff": "l2", "carry_opt_state": "carry_optimizer_state", "transpor
 # Per section, each key that only one of its kinds reads, and that kind; any other refuses it.
 _ONLY = {"optimizer": {"momentum": "sgd-momentum", "beta1": "adam", "beta2": "adam",
                        "epsilon": "adam"},
-         "schedule": {"decay": "exp", "period": "exp"}}
+         "schedule": {"decay": "exp", "period": "exp"},
+         "heuristic": {"institution": "single", "m_values": "sweep"}}
 
 
 class ConfigError(ValueError):
@@ -156,7 +157,8 @@ def _plan(dataset: dict, split: dict, model: dict, optimizer: dict, schedule: di
     plateau, exp_decay = _read(_schedule, schedule, "schedule")
     opt = _read(OptimizerConfig, {"kind": "sgd-momentum", **optimizer}, "optimizer")
     for where, section, kind in (("optimizer", optimizer, opt.kind),
-                                 ("schedule", schedule, schedule.get("kind", "plateau"))):
+                                 ("schedule", schedule, schedule.get("kind", "plateau")),
+                                 ("heuristic", heuristic, heur.kind)):
         for key, only in _ONLY[where].items():
             if key in section and kind != only:
                 raise ConfigError(f"{where}.{key}: read by kind {only} only, not {kind}")

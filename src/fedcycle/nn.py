@@ -213,11 +213,6 @@ class ModelState:
     def specs(self) -> tuple:
         return self.layout.specs
 
-    def param_items(self):
-        """Yield (layer_index, name, array) in canonical order."""
-        for i, name, *_ in self.layout.params:
-            yield i, name, self.params[i][name]
-
 
 def glorot_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     if fan_in < 1 or fan_out < 1:
@@ -305,26 +300,25 @@ def workspace(layout: Layout, rows: int) -> Workspace:
 
 
 def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | None = None,
-            *, train: bool = True, pure: bool = False) -> Workspace:
-    """Run the network in train mode, or in eval mode with `train=False`,
-    and return the pass: its Workspace, with `ins`, `probs` and `train`.
+            *, train: bool = True) -> Workspace:
+    """Run the network and return the pass: its Workspace, with `ins`,
+    `probs` and `train`. A pass is one of two kinds.
 
-    In eval mode dropout is the identity and batch norm uses running
-    statistics, so the call is pure. In train mode batch norm uses batch
-    statistics and updates the running averages in place, and dropout
-    draws a fresh inverted-scaling mask from `rng`; `pure=True` does
-    neither. A train-mode pass that is not pure writes into the shared
+    A train pass (the default) normalizes batch norm with the batch's
+    statistics and updates the running averages in place, masks dropout
+    when `dropout_rate > 0` with an inverted-scaling mask drawn from `rng`,
+    keeps every layer's input intact in `ins`, and writes into the shared
     `workspace(layout, rows)`: what it returns, and the gradient `backward`
-    computes from it, hold only until the next such pass of that layout
-    and batch size, by any model. Eval and pure passes write into a fresh
-    Workspace. Only a train-mode pass keeps every layer's input intact in
-    `ins`.
+    computes from it, hold only until the next train pass of that layout
+    and batch size, by any model. An eval pass (`train=False`) normalizes
+    with the running statistics, passes dropout through, changes nothing
+    and writes into a fresh Workspace.
     """
     if features.ndim != 2 or features.shape[1] != model.specs[0].in_dim:
         raise ValueError(
             f"expected input width {model.specs[0].in_dim}, got {features.shape}"
         )
-    ws = (workspace if train and not pure else Workspace)(model.layout, len(features))
+    ws = (workspace if train else Workspace)(model.layout, len(features))
     a = x = np.asarray(features, dtype=np.float64)
     for i, spec in enumerate(model.specs):
         p, out, aux = model.params[i], ws.out[i], ws.aux[i]
@@ -344,10 +338,9 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
                 np.add.reduce(a, axis=0, keepdims=True, out=mu)
                 mu /= len(a)  # a.mean's arithmetic, written into the workspace
                 var = a.var(axis=0, keepdims=True)
-                if not pure:
-                    run = model.stats[i]
-                    run["mean"][...] = BN_DECAY * run["mean"] + (1.0 - BN_DECAY) * mu
-                    run["var"][...] = BN_DECAY * run["var"] + (1.0 - BN_DECAY) * var
+                run = model.stats[i]
+                run["mean"][...] = BN_DECAY * run["mean"] + (1.0 - BN_DECAY) * mu
+                run["var"][...] = BN_DECAY * run["var"] + (1.0 - BN_DECAY) * var
             else:
                 mu = model.stats[i]["mean"]
                 var = model.stats[i]["var"]
@@ -357,7 +350,7 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
             np.multiply(p["gamma"], xhat, out=out)
             out += p["beta"]
         elif spec.kind == "dropout":
-            if train and not pure and spec.dropout_rate > 0.0:
+            if train and spec.dropout_rate > 0.0:
                 if rng is None:
                     raise ValueError("train-mode dropout needs a generator")
                 keep = 1.0 - spec.dropout_rate
@@ -367,7 +360,7 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
                 np.divide(kept, keep, out=mask)
                 np.multiply(a, mask, out=out)
             else:
-                out = a  # backward reads a passed-through input as "no mask applied"
+                out = a
         elif spec.kind == "sigmoid-head":
             # 1 / (1 + e) where z >= 0, else e / (1 + e), with e = exp(-|z|):
             # e <= 1 never overflows, and each branch is the stable form.
@@ -460,8 +453,8 @@ def backward(model: ModelState, fp: Workspace, labels: np.ndarray,
             da = dxhat * ivar + dvar * 2.0 * (x - mu) / m + dmu / m
         elif spec.kind == "relu":
             da *= np.greater(x, 0.0, out=aux[0])
-        elif spec.kind == "dropout" and fp.ins[i + 1] is not x:
-            da *= aux[0]  # the pass masked: the layer's output is not its input
+        elif spec.kind == "dropout" and spec.dropout_rate > 0.0:
+            da *= aux[0]
     return fp.grad
 
 
@@ -523,44 +516,51 @@ def grad_check(model: ModelState, features: np.ndarray, labels: np.ndarray,
                l2_coeff: float = 0.0, h: float | tuple = 1e-5) -> float:
     """Max relative error of backward() vs central finite differences.
 
-    Runs pure passes: dropout is the identity and batch norm normalizes
-    with the batch's statistics, leaving its running statistics alone, so
-    the loss is a deterministic function of the parameters.
-    Relative error per entry is |analytic - numeric| / max(|analytic|,
-    |numeric|, 1e-8). When `h` is a tuple of step sizes, each entry keeps
-    its best step (small steps lose near-flat directions to round-off,
-    large steps risk curvature error; a wrong gradient fails at every
-    step).
+    Runs train passes on a copy of the model, each drawing the same dropout
+    mask, so the loss is a function of the parameters alone and the
+    caller's model is left untouched. Relative error per entry is
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8). When `h` is a
+    tuple of step sizes, each entry keeps its best step (small steps lose
+    near-flat directions to round-off, large steps risk curvature error; a
+    wrong gradient fails at every step). A step whose passes flip a relu
+    input's sign crosses a kink and is not used; an entry left with no step
+    retries at a tenth of its smallest, down to 1e-9, or else errs at inf.
     """
     steps = tuple(h) if isinstance(h, (tuple, list)) else (h,)
     if not steps or any(s <= 0 for s in steps):
         raise ValueError("finite-difference step must be > 0")
+    model = ModelState(model.layout, model.theta.copy(), model.running.copy(), model.opt_state)
+    theta, rng = model.theta, np.random.default_rng(0)
+    masks = rng.bit_generator.state
 
-    def loss_at():
-        fp = forward(model, features, pure=True)
-        return loss(fp.probs, labels, model, l2_coeff)
+    def train_pass():
+        rng.bit_generator.state = masks
+        fp = forward(model, features, rng)
+        return fp, [x > 0.0 for x, spec in zip(fp.ins, model.specs) if spec.kind == "relu"]
 
-    fp = forward(model, features, pure=True)
-    grads = model.layout.views(backward(model, fp, labels, l2_coeff))
+    fp, signs = train_pass()
+    g = backward(model, fp, labels, l2_coeff)
+
+    def error_at(j: int, step: float) -> float:
+        orig, losses = theta[j], []
+        for x in (orig + step, orig - step):
+            theta[j] = x
+            fp, signs_now = train_pass()
+            if all(map(np.array_equal, signs_now, signs)):
+                losses.append(loss(fp.probs, labels, model, l2_coeff))
+        theta[j] = orig
+        if len(losses) < 2:
+            return math.inf  # a pass crossed a relu kink
+        numeric = (losses[0] - losses[1]) / (2.0 * step)
+        return abs(g[j] - numeric) / max(abs(g[j]), abs(numeric), 1e-8)
+
     worst = 0.0
-    for i, name, w in model.param_items():
-        g = grads[i][name]
-        it = np.nditer(w, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            analytic = g[idx]
-            orig = w[idx]
-            best = math.inf
-            for step in steps:
-                w[idx] = orig + step
-                hi = loss_at()
-                w[idx] = orig - step
-                lo = loss_at()
-                w[idx] = orig
-                numeric = (hi - lo) / (2.0 * step)
-                denom = max(abs(analytic), abs(numeric), 1e-8)
-                best = min(best, abs(analytic - numeric) / denom)
-            worst = max(worst, best)
+    for j in range(theta.size):
+        best, step = min(error_at(j, s) for s in steps), min(steps)
+        while best == math.inf and step >= 1e-8:  # retry at a tenth, down to 1e-9
+            step /= 10.0
+            best = error_at(j, step)
+        worst = max(worst, best)
     return worst
 
 
@@ -568,7 +568,7 @@ def gradcheck_suite(n_seeds: int = 20) -> float:
     """Max grad_check error over a battery of architectures and seeds.
 
     Builds its models with mlp_specs, as the program does: affine, relu,
-    batch norm, dropout (disabled path), both heads, with and without L2.
+    batch norm, dropout, both heads, with and without L2.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")

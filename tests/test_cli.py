@@ -204,7 +204,7 @@ class TestRun:
         ("learning_rate: 0.001", "learning_rate: true", "optimizer.learning_rate"),
         ("max_epochs: 40", "max_epochs: 40\n  top_k: 5", "training.top_k"),
         ("kind: central", "kind: single\n  institution: 2", "heuristic.institution"),
-        ("kind: central", "kind: central\n  m_values: [1, 1]", "heuristic.m_values"),
+        ("kind: central", "kind: sweep\n  m_values: [1, 1]", "heuristic.m_values"),
         # sizes past the 128 TiB user address space, so no overcommit setting lets them allocate
         ("feature_dim: 3", "feature_dim: 1000000000000000", "dataset"),
         ("hidden: [8]", "hidden: [1000000000000000]", "model"),
@@ -243,9 +243,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
 
-    def test_bad_freq_flag_exits_2(self, config_path, capsys):
-        assert main(["run", str(config_path), "--freq", "0"]) == 2
-        assert "--freq" in capsys.readouterr().err
+    def test_bad_freq_flag_exits_2(self, tmp_path, capsys):
+        path = patch_config(tmp_path, **{"kind: central": "kind: cyclical"})
+        assert main(["run", str(path), "--freq", "0"]) == 2
+        assert capsys.readouterr().err == "error: --freq: frequency must be >= 1\n"
+
+    def test_freq_flag_refused_unless_kind_reads_it(self, config_path, tmp_path, capsys):
+        """Under central no visit length is read, so the flag would change nothing."""
+        argv = ["run", str(config_path), "--freq", "2", "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("error: --freq: read by kinds cyclical and sweep "
+                                           "only, not central\n")
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_config_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
         """`run` on a sweep config exits 2 before it builds a dataset or

@@ -208,7 +208,7 @@ WRONG_VALUES = [
     ("hidden: [16, 8]", 'hidden: [16, 8]\n  batchnorm: "yes"', "model.batchnorm"),
     ("hidden: [16, 8]", "hidden: 16", "model.hidden"),
     ("hidden: [16, 8]", "hidden: [16.5]", "model.hidden"),
-    ("frequency: 2", "frequency: 2\n  m_values: 3", "heuristic.m_values"),
+    ("kind: cyclical", "kind: sweep\n  m_values: 3", "heuristic.m_values"),
     ("batch_size: 16", "batch_size: 16\n  max_epochs: null", "training.max_epochs"),
     ("output_dir: out", "output_dir: 5", "output_dir"),
     ("seed: 3", 'seed: 3\n  ring_gap: "big"', "dataset.ring_gap"),
@@ -249,6 +249,8 @@ INVALID_AT_LOAD = [
       for key in ("beta1", "beta2", "epsilon")),
     ("patience: 5", "patience: 5\n  decay: 0.5", "schedule.decay"),
     ("patience: 5", "patience: 5\n  period: 3", "schedule.period"),
+    ("frequency: 2", "frequency: 2\n  institution: 1", "heuristic.institution"),
+    ("frequency: 2", "frequency: 2\n  m_values: [1, 2]", "heuristic.m_values"),
 ]
 
 
@@ -333,8 +335,8 @@ class TestSchema:
             load_plan(path)
 
     @pytest.mark.parametrize("old,new,key", [
-        ("frequency: 2", "frequency: 2\n  m_values: [1, 3]", "heuristic.m_values"),
-        ("frequency: 2", "frequency: 2\n  m_values: [0]", "heuristic.m_values"),
+        ("kind: cyclical", "kind: sweep\n  m_values: [1, 3]", "heuristic.m_values"),
+        ("kind: cyclical", "kind: sweep\n  m_values: [0]", "heuristic.m_values"),
         ("kind: cyclical", "kind: single\n  institution: 2", "heuristic.institution"),
         ("frequency: 2", "frequency: 0", "frequency"),
         ("augment_sigma: 0.1", "augment_sigma: -0.1", "augment_sigma"),
@@ -347,9 +349,19 @@ class TestSchema:
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_and_build(write_config(tmp_path, **{old: new}))
 
-    def test_institution_ignored_unless_single(self, tmp_path):
-        path = write_config(tmp_path, **{"frequency: 2": "frequency: 2\n  institution: 9"})
-        assert load_plan(path).heuristic.institution == 9
+    @pytest.mark.parametrize("kind", ["central", "ensemble", "single_transfer", "cyclical"])
+    def test_institution_refused_unless_single(self, tmp_path, kind):
+        path = write_config(tmp_path, **{"kind: cyclical\n  frequency: 2":
+                                         f"kind: {kind}\n  institution: 0"})
+        with pytest.raises(ConfigError, match=rf"^heuristic\.institution: read by kind "
+                                              rf"single only, not {kind}$"):
+            load_plan(path)
+
+    @pytest.mark.parametrize("kind", ["single", "central", "ensemble", "single_transfer"])
+    def test_frequency_accepted_under_every_kind(self, tmp_path, kind):
+        """The benchmark's documents set `frequency: 1` under every kind."""
+        path = write_config(tmp_path, **{"kind: cyclical": f"kind: {kind}"})
+        assert load_plan(path).heuristic.frequency == 2
 
     def test_top_k_above_class_count(self, tmp_path):
         path = write_config(tmp_path, **{"batch_size: 16": "batch_size: 16\n  top_k: 3"})

@@ -221,7 +221,8 @@ class TestSingleAndCentral:
                "optimizer": {"kind": "adam", "learning_rate": 1e-3},
                "schedule": {"patience": 3, "max_decays": 1},
                "training": {"batch_size": 16, "max_epochs": 2},
-               "heuristic": {"kind": kind, "institution": 2}, "seeds": [1, 2, 3]}
+               "heuristic": {"kind": kind, **({"institution": 2} if kind == "single" else {})},
+               "seeds": [1, 2, 3]}
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0

@@ -243,48 +243,62 @@ class TestBackward:
         y = rng.integers(0, max(out_dim, 2), 8)
         dead = 2
         m.params[0]["b"][0, dead] = -1.0 - np.max(x @ m.params[0]["W"][:, dead])
-        fp = forward(m, x, pure=True)
+        fp = forward(m, x)
         assert (fp.ins[1][:, dead] < 0.0).all()
         g = m.layout.views(backward(m, fp, y, l2_coeff=l2))[0]
         assert np.array_equal(g["W"][:, dead], l2 * m.params[0]["W"][:, dead])
         assert g["b"][0, dead] == 0.0
         assert grad_check(m, x, y, l2_coeff=l2, h=(1e-5, 1e-4, 1e-3)) < 1e-4
 
-    def test_dropout_matches_finite_differences(self):
-        """grad_check runs dropout as the identity. Here every pass is a
-        train-mode pass whose mask comes from the same seed, so the loss is
-        a function of the parameters alone and central differences check
-        the masked backward pass."""
+    @staticmethod
+    def dropout_case():
         specs = [LayerSpec("affine", 3, 5), LayerSpec("relu", 5, 5),
                  LayerSpec("dropout", 5, 5, 0.5), LayerSpec("sigmoid-head", 5, 1)]
         rng = np.random.default_rng([7, 0])
         m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
-        x = rng.normal(size=(8, 3))
-        y = rng.integers(0, 2, 8)
+        return m, rng.normal(size=(8, 3)), rng.integers(0, 2, 8)
 
-        def train_pass():
-            return forward(m, x, np.random.default_rng(11))
-
-        fp = train_pass()
+    def test_dropout_matches_finite_differences(self):
+        """grad_check runs train passes that all draw one mask, so the loss
+        is a function of the parameters alone and central differences check
+        the masked backward pass."""
+        m, x, y = self.dropout_case()
+        fp = forward(m, x, np.random.default_rng(11))
         mask = fp.aux[2][0]
         assert fp.ins[3] is not fp.ins[2]  # the pass applied the mask
         assert set(np.unique(mask)) == {0.0, 2.0}  # the mask drops and rescales
-        grads = m.layout.views(backward(m, train_pass(), y).copy())
-        worst = 0.0
-        for i, name, w in m.param_items():
-            for idx in np.ndindex(w.shape):
-                orig, analytic, best = w[idx], grads[i][name][idx], math.inf
-                for h in (1e-5, 1e-4, 1e-3):
-                    w[idx] = orig + h
-                    hi = loss(train_pass().probs, y, m)
-                    w[idx] = orig - h
-                    lo = loss(train_pass().probs, y, m)
-                    w[idx] = orig
-                    numeric = (hi - lo) / (2.0 * h)
-                    best = min(best, abs(analytic - numeric)
-                               / max(abs(analytic), abs(numeric), 1e-8))
-                worst = max(worst, best)
-        assert worst < 1e-4
+        assert grad_check(m, x, y, h=(1e-5, 1e-4, 1e-3)) < 1e-4
+
+    def test_unmasked_dropout_gradient_fails_the_check(self, monkeypatch):
+        """A backward that treats the dropout mask as all ones is wrong
+        wherever the mask drops or rescales, and grad_check sees it."""
+        m, x, y = self.dropout_case()
+
+        def unmasked(model, fp, labels, l2_coeff=0.0):
+            fp.aux[2][0][...] = 1.0
+            return backward(model, fp, labels, l2_coeff)
+
+        monkeypatch.setattr(nn, "backward", unmasked)
+        assert grad_check(m, x, y, h=(1e-5, 1e-4, 1e-3)) > 0.1
+
+    def test_relu_kink_does_not_fail_a_correct_backward(self):
+        """One relu input of this draw lies within 1e-5 of 0, so some
+        entries' given steps all straddle the kink. Those steps are dropped
+        and smaller ones tried, so the correct backward passes."""
+        specs = [LayerSpec("affine", 3, 5), LayerSpec("relu", 5, 5),
+                 LayerSpec("sigmoid-head", 5, 1)]
+        rng = np.random.default_rng(24)
+        m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
+        x, y = rng.normal(size=(8, 3)), rng.integers(0, 2, 8)
+        assert np.abs(forward(m, x).ins[1]).min() < 1e-5
+        assert grad_check(m, x, y, h=(1e-5, 1e-4, 1e-3)) < 1e-4
+
+    def test_entry_on_a_kink_errs_at_inf(self):
+        """A relu input at exactly 0 flips at every step of its bias, so that
+        entry has no step to check with and the check fails."""
+        m = sigmoid_model([[1, 0], [0, 1]], [0, 0], [1, -1], 0.0)
+        x = np.array([[0.0, 1.0], [1.0, 2.0]])
+        assert grad_check(m, x, np.array([0, 1])) == math.inf
 
 
 class TestOptStep:
@@ -392,8 +406,8 @@ class TestFlatStore:
             opt_step(m, g, cfg, lr)
             reference_step(params, slots, m.layout.views(g), cfg, lr, t)
         role_views = {role: m.layout.views(m.opt_state.flat[role]) for role in roles}
-        for i, name, w in m.param_items():
-            assert np.array_equal(w, params[i][name])
+        for i, name, *_ in m.layout.params:
+            assert np.array_equal(m.params[i][name], params[i][name])
             for role in roles:
                 assert np.array_equal(role_views[role][i][name], slots[i][name][role])
 
@@ -401,11 +415,11 @@ class TestFlatStore:
     def test_params_and_slots_are_views_of_flat_vectors(self, kind):
         m = init_model(self.SPECS, OptimizerConfig(kind, 0.1), np.random.default_rng(0))
         flat = m.opt_state.flat
-        assert m.theta.size == sum(w.size for _, _, w in m.param_items())
-        assert np.array_equal(np.concatenate([w.ravel() for _, _, w in m.param_items()]),
-                              m.theta)
+        weights = [m.params[i][name] for i, name, *_ in m.layout.params]
+        assert m.theta.size == sum(w.size for w in weights)
+        assert np.array_equal(np.concatenate([w.ravel() for w in weights]), m.theta)
         role_views = {role: m.layout.views(vec) for role, vec in flat.items()}
-        for i, name, w in m.param_items():
+        for (i, name, *_), w in zip(m.layout.params, weights):
             assert np.shares_memory(w, m.theta)
             for role, views in role_views.items():
                 assert views[i][name].shape == w.shape
@@ -419,7 +433,7 @@ class TestFlatStore:
         assert np.array_equal(m.stats[1]["var"], np.ones((1, 6)))
         x = np.random.default_rng(1).normal(size=(16, 3))
         before = m.running.copy()
-        forward(m, x, pure=True)  # no generator: a pure pass draws no dropout mask
+        forward(m, x, train=False)  # an eval pass reads the running statistics
         assert np.array_equal(m.running, before)
         forward(m, x, np.random.default_rng(2))
         assert not np.array_equal(m.running, before)
@@ -466,10 +480,9 @@ class TestWorkspace:
         fresh = forward(m, x, np.random.default_rng(2))
         assert fresh is not ws and fresh is workspace(m.layout, 16)
         assert np.array_equal(backward(m, fresh, y, 0.01), grads[1])
-        # an eval pass and a pure pass each get a workspace of their own
-        assert forward(m, x, train=False) is not fresh
+        # an eval pass gets a workspace of its own
         kept = fresh.probs.copy()
-        assert forward(m, x, pure=True) is not fresh
+        assert forward(m, x, train=False) is not fresh
         assert np.array_equal(fresh.probs, kept)
 
 
@@ -480,6 +493,18 @@ class TestGradCheck:
         m = init_model(specs, OptimizerConfig("sgd-momentum", 0.1), rng)
         err = grad_check(m, rng.normal(size=(10, 3)), rng.integers(0, 2, 10))
         assert err < 1e-6
+
+    def test_model_left_untouched(self):
+        """grad_check works on a copy: the parameters, the batch-norm running
+        statistics and the optimizer state come back bit for bit."""
+        cfg = OptimizerConfig("adam", 0.1, l2_coeff=0.01)
+        rng = np.random.default_rng(6)
+        m = init_model(TestFlatStore.SPECS, cfg, rng)
+        x, y = rng.normal(size=(16, 3)), rng.integers(0, 3, 16)
+        opt_step(m, backward(m, forward(m, x, rng), y, cfg.l2_coeff), cfg, 0.1)
+        before = _state_digest(m)
+        assert grad_check(m, x, y, cfg.l2_coeff, h=(1e-5, 1e-4, 1e-3)) < 1e-4
+        assert _state_digest(m) == before and m.opt_state.step == 1
 
     def test_zero_step_rejected(self):
         specs = [LayerSpec("sigmoid-head", 3, 1)]

@@ -29,9 +29,8 @@ def make_model(seed=0, opt="adam", specs=SPECS):
 
 
 def models_equal(a: ModelState, b: ModelState) -> bool:
-    for (i, n, wa), (_, _, wb) in zip(a.param_items(), b.param_items()):
-        if not np.array_equal(wa, wb):
-            return False
+    if not np.array_equal(a.theta, b.theta):
+        return False
     if not np.array_equal(a.running, b.running):
         return False
     if a.opt_state.kind != b.opt_state.kind:
@@ -104,8 +103,7 @@ class TestSerialize:
         assert len(slim) < len(full)
         back, meta = deserialize(slim, SPECS)
         assert meta.opt_kind is None
-        for (i, n, wa), (_, _, wb) in zip(m.param_items(), back.param_items()):
-            assert np.array_equal(wa, wb)
+        assert np.array_equal(m.theta, back.theta)
 
 
 def split_packet(data):
@@ -147,7 +145,8 @@ class TestDeserializeStructure:
         flat = back.opt_state.flat
         role_views = {role: back.layout.views(vec) for role, vec in flat.items()}
         assert set(role_views) == {"m", "v"}
-        for i, name, w in back.param_items():
+        for i, name, *_ in back.layout.params:
+            w = back.params[i][name]
             assert np.shares_memory(w, back.theta)
             for role, views in role_views.items():
                 assert views[i][name].shape == w.shape
