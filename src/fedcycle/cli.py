@@ -6,8 +6,7 @@ import csv
 import json
 import statistics
 import sys
-from dataclasses import fields, replace
-from operator import attrgetter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +18,12 @@ from .heuristics import MetricsRow, run_heuristic, run_scaling_sweep, scale_spli
 from .nn import gradcheck_suite, init_model
 from .partition import CapacityError, split_manifest, stratified_split
 
-METRICS_COLUMNS = ["global_epoch", "phase", "institution", "learning_rate",
-                   "train_acc", "val_acc", "val_loss"]
-
-_ROW = attrgetter(*(f.name for f in fields(MetricsRow)))  # a row's fields, not copied
-
 
 def write_metrics_csv(path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        writer.writerows(map(_ROW, rows))  # None as an empty field, a float as its repr
+        writer.writerow(MetricsRow._fields)
+        writer.writerows(rows)  # None as an empty field, a float as its repr
 
 
 def _summary_dict(cfg, result) -> dict:
@@ -40,7 +34,7 @@ def _summary_dict(cfg, result) -> dict:
         "test_accuracy": result.test_accuracy,
         "test_top_k": result.test_top_k,
         "top_k": cfg.top_k,
-        "epochs": result.metrics[-1].global_epoch if result.metrics else 0,
+        "epochs": result.metrics[-1].global_epoch,
         "transfers": result.transfers,
         "optimizer_steps": result.optimizer_steps,
     }

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import inspect
 import sys
+from collections.abc import Hashable
 from dataclasses import dataclass, replace
 from typing import Literal, get_args, get_origin
 
@@ -179,9 +180,23 @@ def build_dataset(section: dict) -> Dataset:
 
 
 def load_plan(path) -> ExperimentPlan:
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        def construct_mapping(self, node, deep=False):
+            """SafeLoader's mapping, refusing an explicit (not merged) key written twice."""
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node)
+                    if isinstance(key, Hashable):  # else PyYAML's own error names it
+                        if key in seen:
+                            raise ConfigError(f"line {key_node.start_mark.line + 1}: "
+                                              f"duplicate key {key!r}")
+                        seen.add(key)
+            return super().construct_mapping(node, deep)
+
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            doc = yaml.load(fh, Loader=Loader)
         except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int over 4300 digits
             raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,15 +58,14 @@ class ExperimentConfig:
                              f"the learning rate {self.optimizer.learning_rate!r} to 0")
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):  # one metrics_seed*.csv row; its fields are the columns
     global_epoch: int
     phase: str
     institution: int | None
     learning_rate: float
-    train_accuracy: float
-    validation_accuracy: float
-    validation_loss: float
+    train_acc: float
+    val_acc: float
+    val_loss: float
 
 
 @dataclass
@@ -213,7 +213,7 @@ def _visit_policy(cfg: ExperimentConfig, visits):
             epoch_steps, *scores = yield "epoch", cohort, lr
             steps += epoch_steps
             rows.append(MetricsRow(epoch, state.phase, institution, lr, *scores))
-            kind = observe(state, cfg.plateau, rows[-1].validation_loss).kind
+            kind = observe(state, cfg.plateau, rows[-1].val_loss).kind
             if epochs is None and kind != CONTINUE:
                 break
             if kind == STOP:
@@ -257,8 +257,8 @@ def _scored_run(cfg: ExperimentConfig, visits, split: ScaledSplit) -> RunResult:
     """Train one model over `visits`, then score it on the test cohort once."""
     model, rows, transfers, steps = _run_visits(cfg, visits, _scaled(split, cfg).validation)
     scores = evaluate(model, split.test, cfg.top_k)
-    return RunResult(models=[model], metrics=rows, train_accuracy=rows[-1].train_accuracy,
-                     validation_accuracy=rows[-1].validation_accuracy,
+    return RunResult(models=[model], metrics=rows, train_accuracy=rows[-1].train_acc,
+                     validation_accuracy=rows[-1].val_acc,
                      test_accuracy=scores["top1"], test_top_k=scores["topk"],
                      transfers=transfers, optimizer_steps=steps)
 

@@ -132,7 +132,7 @@ class TestCriterion2:
         cwt = run_cyclical_weight_transfer(cfg, split, freq=3)
         elapsed = time.time() - start
         same_len = len(central.metrics) == len(cwt.metrics)
-        max_gap = max(abs(a.validation_loss - b.validation_loss)
+        max_gap = max(abs(a.val_loss - b.val_loss)
                       for a, b in zip(central.metrics, cwt.metrics)) \
             if same_len else float("inf")
         ok = same_len and max_gap <= 1e-9 and elapsed < 60

@@ -5,14 +5,13 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedcycle import cli
-from fedcycle.cli import METRICS_COLUMNS, main
+from fedcycle.cli import main
 from fedcycle.heuristics import MetricsRow
 from fedcycle.nn import LayerSpec, OptimizerConfig, init_model
 from fedcycle.transport import serialize
@@ -99,16 +98,17 @@ class TestRun:
         main(["run", str(config_path), "--output-dir", str(outdir)])
         with open(outdir / "metrics_seed1.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == METRICS_COLUMNS
+        assert rows[0] == list(MetricsRow._fields)
         assert len(rows) > 1
         first = rows[1]
         assert first[0] == "1" and first[1] == "A"
         float(first[3]); float(first[4]); float(first[5]); float(first[6])
 
     def test_metrics_columns_one_per_field(self):
-        """write_metrics_csv writes each MetricsRow as it is, so the header
-        names exactly one column per field (the digests pin their order)."""
-        assert len(set(METRICS_COLUMNS)) == len(METRICS_COLUMNS) == len(fields(MetricsRow))
+        """write_metrics_csv writes each MetricsRow as it is, and its field
+        names as the header: the CSV columns, in the order the digests pin."""
+        assert MetricsRow._fields == ("global_epoch", "phase", "institution", "learning_rate",
+                                      "train_acc", "val_acc", "val_loss")
 
     def test_multi_seed_aggregate(self, tmp_path):
         path = patch_config(tmp_path, **{"seeds: [1]": "seeds: [1, 2, 3]"})

@@ -292,6 +292,38 @@ def test_schedule_driving_rate_to_zero_rejected_at_load(tmp_path, capsys, schedu
     assert not (tmp_path / "out").exists()
 
 
+# The quick demo with one key written twice (old text, new text), and the
+# line of its second writing.
+DUPLICATES = {
+    "seeds": ("output_dir: out/demo\n", "output_dir: out/demo\nseeds: [3]\n", 35),
+    "learning_rate": ("  momentum: 0.9\n", "  momentum: 0.9\n  learning_rate: 0.5\n", 23),
+}
+
+
+@pytest.mark.parametrize("key", DUPLICATES)
+def test_duplicate_key_rejected_at_load(tmp_path, capsys, key):
+    """A key written twice in one mapping used to keep its last value silently;
+    it now stops the run at load with one error line naming the key and the
+    line it is written twice at."""
+    old, new, line = DUPLICATES[key]
+    path = write_config(tmp_path, (ROOT / "configs" / "quick_demo.yaml").read_text(),
+                        **{old: new})
+    message = f"{path}: line {line}: duplicate key {key!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_plan(path)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_merged_key_may_be_written_again(tmp_path):
+    """A key that a merge (`<<`) brings in is not written twice: the mapping's own wins."""
+    path = write_config(tmp_path, **{"  kind: adam\n": "  <<: {kind: sgd-momentum, "
+                                     "learning_rate: 0.5}\n  kind: adam\n"})
+    optimizer = load_plan(path).base_config.optimizer
+    assert (optimizer.kind, optimizer.learning_rate) == ("adam", 0.001)
+
+
 class TestSchema:
     @pytest.mark.parametrize("old,new,key", WRONG_VALUES,
                              ids=[f"{key}={new.split(': ')[-1]}"
@@ -471,13 +503,16 @@ def test_fuzzed_key_exits_cleanly(tmp_path, capsys, optional):
 def test_yaml_loaders_agree(tmp_path, monkeypatch):
     """load_plan parses with libyaml where PyYAML is built with it, and with
     PyYAML's own SafeLoader where it is not (here, once CSafeLoader is gone).
-    Each shipped config as written, each fuzz document and each fuzz value at
-    each key (its first fuzz case) loads to an equal plan under both, or
+    Each shipped config as written, each fuzz document, each fuzz value at
+    each key (its first fuzz case) and each quick demo with a key written
+    twice (`DUPLICATES`) loads to an equal plan under both, or
     fails under both with the same ConfigError, which the CLI prints as one
     `error:` line with exit 2 (the fuzz test checks that for every case)."""
     texts = [p.read_text() for p in sorted(ROOT.glob("configs/*.yaml"))]
     texts += [_dump(doc) for doc in _fuzz_documents().values()]
     texts += [case[3] for optional in (False, True) for case in _fuzz_cases(optional, once=True)]
+    demo = (ROOT / "configs" / "quick_demo.yaml").read_text()
+    texts += [demo.replace(old, new) for old, new, _ in DUPLICATES.values()]
     path = tmp_path / "experiment.yaml"
 
     def outcomes():

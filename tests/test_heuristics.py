@@ -165,8 +165,8 @@ class TestSingleAndCentral:
         a = run_single_institution(tiny_config(), split, 0)
         b = run_single_institution(tiny_config(), split, 0)
         assert a.test_accuracy == b.test_accuracy
-        assert [r.validation_loss for r in a.metrics] == \
-            [r.validation_loss for r in b.metrics]
+        assert [r.val_loss for r in a.metrics] == \
+            [r.val_loss for r in b.metrics]
 
     def test_single_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -367,8 +367,8 @@ class TestCyclicalWeightTransfer:
     def test_deterministic(self):
         a = run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), 2)
         b = run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), 2)
-        assert [r.validation_loss for r in a.metrics] == \
-            [r.validation_loss for r in b.metrics]
+        assert [r.val_loss for r in a.metrics] == \
+            [r.val_loss for r in b.metrics]
 
 
 def drive_policy(cfg, visits, val_losses):
