@@ -91,6 +91,7 @@ def _prepare(args):
     except MemoryError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
     split = stratified_split(dataset, plan.split_plan)
+    del dataset  # the split's cohorts are copies; the generated rows are not needed again
     try:
         scaled = scale_split(split, kind) if args.command != "partition" else None
     except DegenerateFeatureError as exc:

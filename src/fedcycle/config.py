@@ -6,6 +6,7 @@ feeds, which names the section's keys and gives their types and defaults.
 from __future__ import annotations
 
 import inspect
+import re
 import sys
 from collections.abc import Hashable
 from dataclasses import dataclass, replace
@@ -43,7 +44,8 @@ class HeuristicSection:
 
     def __post_init__(self):
         if self.kind not in (*PLANS, "sweep"):
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {', '.join((*PLANS, 'sweep'))}, "
+                             f"got {self.kind!r}")
         if self.frequency < 1:
             raise ValueError("frequency must be >= 1")
         if self.kind == "sweep" and not self.m_values:
@@ -194,10 +196,23 @@ def load_plan(path) -> ExperimentPlan:
                         seen.add(key)
             return super().construct_mapping(node, deep)
 
+    # YAML 1.2's float with an exponent, which YAML 1.1 reads as a string unless
+    # it has a dot and a signed exponent: 5e-4, 1e-05 (as JSON writes it), 1E8
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                                 re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+                                            r"[eE][-+]?[0-9]+$"),
+                                 list("-+0123456789."))
     with open(path, encoding="utf-8") as fh:
         try:
             doc = yaml.load(fh, Loader=Loader)
-        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int over 4300 digits
+        except yaml.MarkedYAMLError as exc:  # its own text runs over several lines
+            mark = exc.problem_mark
+            raise ConfigError(f"{path}: line {mark.line + 1}, column {mark.column + 1}: "
+                              f"{exc.problem}") from exc
+        except yaml.YAMLError as exc:  # a ReaderError: a character YAML does not allow
+            raise ConfigError(f"{path}: position {exc.position}: "
+                              f"{str(exc).splitlines()[0]}") from exc
+        except ValueError as exc:  # an int over 4300 digits, or not UTF-8
             raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")

@@ -148,7 +148,9 @@ def augment(features: np.ndarray, sigma: float, rng: np.random.Generator) -> np.
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return features
-    return features + rng.normal(0.0, sigma, size=features.shape)
+    noise = rng.normal(0.0, sigma, size=features.shape)
+    noise += features  # bitwise features + noise, as IEEE addition commutes
+    return noise
 
 
 def load_csv(path: str | os.PathLike) -> Dataset:

@@ -9,7 +9,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -101,7 +101,7 @@ def validate_specs(specs):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str  # "sgd-momentum" | "adam"
+    kind: Literal["sgd-momentum", "adam"]
     learning_rate: float
     momentum: float = 0.9
     beta1: float = 0.9

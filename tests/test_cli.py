@@ -1,10 +1,12 @@
 import csv
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +182,25 @@ class TestRun:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == "[]"
+
+    def test_generated_dataset_dropped_once_split(self, tmp_path, monkeypatch):
+        """Set-up keeps no reference to the generated dataset once the split has
+        copied its cohorts out, so its rows are freed before they are scaled."""
+        build, scale, refs, alive = cli.build_experiment, cli.scale_split, [], []
+
+        def keep_ref(plan):
+            dataset, cfg = build(plan)
+            refs.append(weakref.ref(dataset))
+            return dataset, cfg
+
+        def check_ref(split, kind):
+            gc.collect()
+            alive.append(refs[0]() is not None)
+            return scale(split, kind)
+        monkeypatch.setattr(cli, "build_experiment", keep_ref)
+        monkeypatch.setattr(cli, "scale_split", check_ref)
+        assert main(["run", str(DEMO), "--output-dir", str(tmp_path / "out")]) == 0
+        assert alive == [False]
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         path = patch_config(tmp_path, **{"kind: central": "kind: gossip"})

@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import json
 import math
 import re
 import sys
@@ -156,6 +157,50 @@ class TestLoadPlan:
         with pytest.raises(ConfigError):
             load_plan(path)
 
+    def test_exponent_floats_load_as_floats(self, tmp_path):
+        """YAML 1.2's floats: an exponent needs neither a dot nor a sign."""
+        for text, value in EXPONENTS.items():
+            path = write_config(tmp_path, **{"learning_rate: 0.001": f"learning_rate: {text}"})
+            rate = load_plan(path).base_config.optimizer.learning_rate
+            assert type(rate) is float and rate == value, text
+
+    def test_json_exponent_float(self, tmp_path):
+        doc = yaml.safe_load(BASE_YAML)
+        doc["optimizer"]["learning_rate"] = 0.00001
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(doc))
+        assert '"learning_rate": 1e-05' in path.read_text()
+        plan = load_plan(path)
+        assert plan.base_config.optimizer.learning_rate == 1e-05
+        assert type(plan.split_plan.k) is int  # an integer stays an int
+
+
+# Each YAML text that is not a document, and where its problem is.
+SYNTAX_ERRORS = {"unclosed": ("dataset: [unclosed\n", "line 2, column 1"),
+                 "unhashable": ("[1]: 2\n", "line 1, column 1"),
+                 "control": ("a: \x07\n", "position 3")}
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+@pytest.mark.parametrize("case", SYNTAX_ERRORS)
+def test_yaml_error_is_one_line(tmp_path, capsys, monkeypatch, case, libyaml):
+    """PyYAML's own message runs over two to four lines; the CLI prints its
+    problem after the file and where in it, on one line. The two loaders word
+    some problems differently but place them alike."""
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    text, place = SYNTAX_ERRORS[case]
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    where = f"{path}: {place}: "
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)}"):
+        load_plan(path)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {where}")
+
 
 class TestBuildDataset:
     def test_synthetic_deterministic(self):
@@ -189,6 +234,12 @@ class TestBuildDataset:
         assert r[ds.labels == 1].min() > r[ds.labels == 0].max()
 
 
+# Floats with an exponent that YAML 1.1 would read as strings (all but the
+# last), and their values.
+EXPONENTS = {"5e-4": 5e-4, "1e-05": 1e-05, "2E3": 2e3, "1.5e2": 150.0, ".5e3": 500.0,
+             "+1e+0": 1.0, "1.0e-8": 1e-8}
+
+
 def load_and_build(path):
     return build_experiment(load_plan(path))
 
@@ -213,6 +264,8 @@ WRONG_VALUES = [
     ("output_dir: out", "output_dir: 5", "output_dir"),
     ("seed: 3", 'seed: 3\n  ring_gap: "big"', "dataset.ring_gap"),
     ("patience: 5", "kind: expo\n  patience: 5", "schedule.kind"),
+    ("kind: adam", "kind: rmsprop", "optimizer.kind"),
+    ("kind: cyclical", "kind: gossip", "heuristic.kind"),
 ]
 
 
@@ -251,6 +304,10 @@ INVALID_AT_LOAD = [
     ("patience: 5", "patience: 5\n  period: 3", "schedule.period"),
     ("frequency: 2", "frequency: 2\n  institution: 1", "heuristic.institution"),
     ("frequency: 2", "frequency: 2\n  m_values: [1, 2]", "heuristic.m_values"),
+    ("batch_size: 16", "batch_size: 0", "training.batch_size"),
+    ("batch_size: 16", "batch_size: 16\n  top_k: 0", "training.top_k"),
+    ("learning_rate: 0.001", "learning_rate: 0", "optimizer.learning_rate"),
+    ("learning_rate: 0.001", "learning_rate: 0.001\n  l2: -0.1", "optimizer.l2"),
 ]
 
 
@@ -505,7 +562,8 @@ def test_yaml_loaders_agree(tmp_path, monkeypatch):
     PyYAML's own SafeLoader where it is not (here, once CSafeLoader is gone).
     Each shipped config as written, each fuzz document, each fuzz value at
     each key (its first fuzz case) and each quick demo with a key written
-    twice (`DUPLICATES`) loads to an equal plan under both, or
+    twice (`DUPLICATES`) or with an exponent float (`EXPONENTS`) loads to an
+    equal plan under both, or
     fails under both with the same ConfigError, which the CLI prints as one
     `error:` line with exit 2 (the fuzz test checks that for every case)."""
     texts = [p.read_text() for p in sorted(ROOT.glob("configs/*.yaml"))]
@@ -513,6 +571,8 @@ def test_yaml_loaders_agree(tmp_path, monkeypatch):
     texts += [case[3] for optional in (False, True) for case in _fuzz_cases(optional, once=True)]
     demo = (ROOT / "configs" / "quick_demo.yaml").read_text()
     texts += [demo.replace(old, new) for old, new, _ in DUPLICATES.values()]
+    texts += [demo.replace("learning_rate: 0.0005", f"learning_rate: {text}")
+              for text in EXPONENTS]
     path = tmp_path / "experiment.yaml"
 
     def outcomes():

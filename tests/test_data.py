@@ -1,3 +1,6 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,25 @@ class TestAugment:
         out = augment(x, 0.5, np.random.default_rng(1))
         assert out.std() == pytest.approx(0.5, rel=0.02)
         assert not x.any()  # the input is left as it was
+
+    def test_result_is_the_noise_draw(self):
+        """The features are added into the noise draw, so augment allocates one
+        array of their size, bitwise features + noise. The features are one
+        institution's of the ordering task: numpy sums into a temporary of
+        256 KiB or more by itself, but not into a smaller one."""
+        features = np.random.default_rng(0).normal(size=(800, 32))
+        rng = np.random.default_rng(1)
+        twin = copy.deepcopy(rng)
+        tracemalloc.start()
+        try:
+            out = augment(features, 0.3, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * features.nbytes
+        expected = features + twin.normal(0.0, 0.3, size=features.shape)
+        assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+        assert augment(features, 0.0, rng) is features
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
