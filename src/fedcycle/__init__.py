@@ -4,10 +4,8 @@ transfer, cyclical weight transfer)."""
 
 from .data import Dataset, augment, export_csv, gen_synthetic, load_csv, normalize
 from .heuristics import (ExperimentConfig, MetricsRow, RunResult, ScaledSplit,
-                         evaluate, mlp_specs, run_central,
-                         run_cyclical_weight_transfer, run_ensemble,
-                         run_scaling_sweep, run_single_institution,
-                         run_single_weight_transfer, scale_split, train_on)
+                         evaluate, mlp_specs, run_heuristic, run_scaling_sweep,
+                         scale_split, train_on)
 from .nn import (LayerSpec, ModelState, OptimizerConfig, backward,
                  forward, glorot_init, grad_check, init_model, loss, opt_step)
 from .partition import Split, SplitPlan, pool, split_manifest, stratified_split

@@ -206,9 +206,9 @@ def load_plan(path) -> ExperimentPlan:
         try:
             doc = yaml.load(fh, Loader=Loader)
         except yaml.MarkedYAMLError as exc:  # its own text runs over several lines
-            mark = exc.problem_mark
+            mark, context = exc.problem_mark, f"{exc.context}: " if exc.context else ""
             raise ConfigError(f"{path}: line {mark.line + 1}, column {mark.column + 1}: "
-                              f"{exc.problem}") from exc
+                              f"{context}{exc.problem}") from exc
         except yaml.YAMLError as exc:  # a ReaderError: a character YAML does not allow
             raise ConfigError(f"{path}: position {exc.position}: "
                               f"{str(exc).splitlines()[0]}") from exc

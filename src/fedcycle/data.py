@@ -86,6 +86,9 @@ def gen_synthetic(kind: str, n_patients: int, samples_per_patient: int = 2,
         raise ValueError("feature_dim must be >= 2")
     if samples_per_patient < 1 or num_classes < 2:
         raise ValueError("samples_per_patient >= 1 and num_classes >= 2 required")
+    for name, scale in (("patient_spread", patient_spread), ("sample_jitter", sample_jitter)):
+        if not scale >= 0:  # a NaN fails it too
+            raise ValueError(f"{name} must be >= 0")
 
     patient_class = np.arange(n_patients) % num_classes
     if kind == "blobs":

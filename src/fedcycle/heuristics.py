@@ -80,6 +80,9 @@ class RunResult:
     optimizer_steps: int = 0
 
 
+POOLED_KINDS = ("central", "ensemble")  # the kinds that train on the pooled institutions
+
+
 @dataclass(frozen=True)
 class ScaledSplit(Split):
     """A split with its cohorts scaled for a run, as `scale_split` makes it."""
@@ -95,7 +98,7 @@ def scale_split(split: Split, kind: str) -> ScaledSplit:
             cohorts.append(normalize(cohort))
         except DegenerateFeatureError as exc:
             raise DegenerateFeatureError(f"the {name} cohort has {exc}") from exc
-    pooled = normalize(pool(split)) if kind in ("central", "ensemble") else None
+    pooled = normalize(pool(split)) if kind in POOLED_KINDS else None
     return ScaledSplit(cohorts[:-2], *cohorts[-2:], pooled)
 
 
@@ -253,73 +256,63 @@ def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset):
             channel.close()
 
 
-def _scored_run(cfg: ExperimentConfig, visits, split: ScaledSplit) -> RunResult:
-    """Train one model over `visits`, then score it on the test cohort once."""
-    model, rows, transfers, steps = _run_visits(cfg, visits, _scaled(split, cfg).validation)
-    scores = evaluate(model, split.test, cfg.top_k)
-    return RunResult(models=[model], metrics=rows, train_accuracy=rows[-1].train_acc,
-                     validation_accuracy=rows[-1].val_acc,
-                     test_accuracy=scores["top1"], test_top_k=scores["topk"],
-                     transfers=transfers, optimizer_steps=steps)
-
-
-def run_single_institution(cfg: ExperimentConfig, split: ScaledSplit, index: int) -> RunResult:
-    if not (0 <= index < len(split.institutions)):
-        raise IndexError(f"institution index {index} out of range")
-    return _scored_run(cfg, [(index, split.institutions[index], cfg.max_epochs)], split)
-
-
-def run_central(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
-    pooled = _scaled(split, cfg, pooled=True).pooled
-    return _scored_run(cfg, [(None, pooled, cfg.max_epochs)], split)
-
-
 def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
     """The members' mean output, shaped as one member's `predict_proba`."""
     return np.mean([predict_proba(m, features) for m in models], axis=0)
 
 
-def run_ensemble(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
-    """Train one model per institution (seeds seed+i), then score the mean of
-    their outputs as one model's output."""
-    members, rows, _, steps = zip(*(
-        _run_visits(replace(cfg, seed=cfg.seed + i), [(i, c, cfg.max_epochs)], split.validation)
-        for i, c in enumerate(_scaled(split, cfg, pooled=True).institutions)))
-
-    def score(cohort, k=1):
-        return accuracy_from_probs(ensemble_predict(members, cohort.features),
-                                   cohort.labels, k)
-
-    test_scores = score(split.test, cfg.top_k)
-    return RunResult(
-        models=list(members),
-        metrics=[row for member_rows in rows for row in member_rows],
-        train_accuracy=score(split.pooled)["top1"],
-        validation_accuracy=score(split.validation)["top1"],
-        test_accuracy=test_scores["top1"],
-        test_top_k=test_scores["topk"],
-        optimizer_steps=sum(steps),
-    )
+def _single(cfg: ExperimentConfig, split: ScaledSplit, institution: int, _) -> list:
+    if not (0 <= institution < len(split.institutions)):
+        raise IndexError(f"institution index {institution} out of range")
+    return [(cfg, [(institution, split.institutions[institution], cfg.max_epochs)])]
 
 
-def run_single_weight_transfer(cfg: ExperimentConfig, split: ScaledSplit) -> RunResult:
-    """Visit institutions once, in index order, training each to a
-    validation plateau (per-institution patience, no decay mid-visit); the
-    decay ladder advances at each transfer; plateau at the last institution
-    terminates."""
-    visits = [(i, cohort, None) for i, cohort in enumerate(split.institutions)]
-    return _scored_run(cfg, visits, split)
-
-
-def run_cyclical_weight_transfer(cfg: ExperimentConfig, split: ScaledSplit,
-                                 freq: int) -> RunResult:
-    """Round-robin over institutions, `freq` epochs per visit, with a global
-    plateau schedule scaled by the institution count."""
-    if freq < 1:
+def _cyclical(cfg: ExperimentConfig, split: ScaledSplit, _, frequency: int) -> list:
+    """Round-robin over institutions, `frequency` epochs per visit, with a
+    global plateau schedule scaled by the institution count."""
+    if frequency < 1:
         raise ValueError("weight transfer frequency must be >= 1")
     cfg = replace(cfg, plateau=replace(cfg.plateau, patience_scale=len(split.institutions)))
-    visits = itertools.cycle([(i, cohort, freq) for i, cohort in enumerate(split.institutions)])
-    return _scored_run(cfg, visits, split)
+    return [(cfg, itertools.cycle([(i, c, frequency) for i, c in enumerate(split.institutions)]))]
+
+
+# Each kind's member runs, PLANS[kind](cfg, split, institution, frequency) ->
+# [(config, visits)], each visit (institution, cohort, epochs) as `_visit_policy` reads it.
+PLANS = {
+    "single": _single,
+    "central": lambda cfg, split, *_: [(cfg, [(None, split.pooled, cfg.max_epochs)])],
+    "ensemble": lambda cfg, split, *_: [(replace(cfg, seed=cfg.seed + i), [(i, c, cfg.max_epochs)])
+                                        for i, c in enumerate(split.institutions)],
+    "single_transfer": lambda cfg, split, *_: [
+        (cfg, [(i, c, None) for i, c in enumerate(split.institutions)])],
+    "cyclical": _cyclical,
+}
+
+
+def run_heuristic(cfg: ExperimentConfig, split: ScaledSplit, kind: str, *,
+                  institution: int = 0, frequency: int = 1) -> RunResult:
+    """Train each of the kind's member runs, then score the test cohort once on
+    their mean output; an ensemble scores its pool and validation cohort alike."""
+    if kind not in PLANS:
+        raise ValueError(f"unknown heuristic {kind!r}")
+    split = _scaled(split, cfg, pooled=kind in POOLED_KINDS)
+    members = PLANS[kind](cfg, split, institution, frequency)
+    models, rows, transfers, steps = zip(*(_run_visits(member_cfg, visits, split.validation)
+                                          for member_cfg, visits in members))
+    rows = [row for member_rows in rows for row in member_rows]
+
+    def score(cohort, k=1):
+        return accuracy_from_probs(ensemble_predict(models, cohort.features), cohort.labels, k)
+
+    if len(models) == 1:
+        train, validation = rows[-1].train_acc, rows[-1].val_acc
+    else:
+        train, validation = score(split.pooled)["top1"], score(split.validation)["top1"]
+    test_scores = score(split.test, cfg.top_k)
+    return RunResult(models=list(models), metrics=rows, train_accuracy=train,
+                     validation_accuracy=validation, test_accuracy=test_scores["top1"],
+                     test_top_k=test_scores["topk"], transfers=sum(transfers),
+                     optimizer_steps=sum(steps))
 
 
 def run_scaling_sweep(cfg: ExperimentConfig, split: ScaledSplit, m_values,
@@ -331,23 +324,6 @@ def run_scaling_sweep(cfg: ExperimentConfig, split: ScaledSplit, m_values,
     rows = []
     for m in m_values:
         sub = replace(split, institutions=split.institutions[:m])
-        res = run_cyclical_weight_transfer(cfg, sub, freq)
-        rows.append((m, res.test_accuracy))
+        rows.append((m, run_heuristic(cfg, sub, "cyclical", frequency=freq).test_accuracy))
     return rows
 
-
-# Each kind of run, called as PLANS[kind](cfg, split, institution, frequency).
-PLANS = {
-    "single": lambda cfg, split, institution, _: run_single_institution(cfg, split, institution),
-    "central": lambda cfg, split, *_: run_central(cfg, split),
-    "ensemble": lambda cfg, split, *_: run_ensemble(cfg, split),
-    "single_transfer": lambda cfg, split, *_: run_single_weight_transfer(cfg, split),
-    "cyclical": lambda cfg, split, _, freq: run_cyclical_weight_transfer(cfg, split, freq),
-}
-
-
-def run_heuristic(cfg: ExperimentConfig, split: ScaledSplit, kind: str, *,
-                  institution: int = 0, frequency: int = 1) -> RunResult:
-    if kind not in PLANS:
-        raise ValueError(f"unknown heuristic {kind!r}")
-    return PLANS[kind](cfg, split, institution, frequency)

@@ -17,10 +17,8 @@ import pytest
 from fedcycle.data import gen_synthetic
 from fedcycle.heuristics import (ExperimentConfig, accuracy_from_probs,
                                  ensemble_predict, evaluate, mlp_specs,
-                                 predict_proba, run_central,
-                                 run_cyclical_weight_transfer, run_ensemble,
-                                 run_scaling_sweep, run_single_institution,
-                                 run_single_weight_transfer, scale_split)
+                                 predict_proba, run_heuristic, run_scaling_sweep,
+                                 scale_split)
 from fedcycle.nn import (LayerSpec, OptimizerConfig, gradcheck_suite,
                          init_model)
 from fedcycle.partition import SplitPlan, split_manifest, stratified_split
@@ -67,11 +65,11 @@ def desk_seed_results(seed):
     """One seed's test accuracies for every heuristic and CWT frequency."""
     split = scale_split(desk_split(seed), "central")
     cfg = desk_config(seed)
-    out = {"central": run_central(cfg, split).test_accuracy, "cwt": {}}
+    out = {"central": run_heuristic(cfg, split, "central").test_accuracy, "cwt": {}}
     for freq in HIGH_FREQS + LOW_FREQS:
-        out["cwt"][freq] = run_cyclical_weight_transfer(cfg, split, freq).test_accuracy
-    out["swt"] = run_single_weight_transfer(cfg, split).test_accuracy
-    ens = run_ensemble(cfg, split)
+        out["cwt"][freq] = run_heuristic(cfg, split, "cyclical", frequency=freq).test_accuracy
+    out["swt"] = run_heuristic(cfg, split, "single_transfer").test_accuracy
+    ens = run_heuristic(cfg, split, "ensemble")
     out["ensemble"] = ens.test_accuracy
     # the ensemble members are exactly the per-institution models, so the
     # institutional baseline reuses them instead of retraining
@@ -128,8 +126,8 @@ class TestCriterion2:
         split = scale_split(stratified_split(ds, plan), "central")
         cfg = desk_config(3, model_specs=mlp_specs(8, [16], 2), max_epochs=400,
                           plateau=PlateauPolicy(10, 0.25, 2))
-        central = run_central(cfg, split)
-        cwt = run_cyclical_weight_transfer(cfg, split, freq=3)
+        central = run_heuristic(cfg, split, "central")
+        cwt = run_heuristic(cfg, split, "cyclical", frequency=3)
         elapsed = time.time() - start
         same_len = len(central.metrics) == len(cwt.metrics)
         max_gap = max(abs(a.val_loss - b.val_loss)
@@ -301,7 +299,7 @@ class TestCriterion7:
             cfg = desk_config(1, model_specs=mlp_specs(4, [8], 2),
                               plateau=PlateauPolicy(5, 0.25, 1), max_epochs=80,
                               transport=transport_kind)
-            rows[transport_kind] = run_cyclical_weight_transfer(cfg, split, 2).metrics
+            rows[transport_kind] = run_heuristic(cfg, split, "cyclical", frequency=2).metrics
         channels_match = rows["memory"] == rows["socket"]
 
         elapsed = time.time() - start
@@ -364,7 +362,7 @@ class TestCriterion9:
         cfg = desk_config(5, model_specs=mlp_specs(8, [16], 2),
                           plateau=PlateauPolicy(5, 0.25, 1), max_epochs=60)
         scaled = scale_split(split, "single")
-        model = run_single_institution(cfg, scaled, 0).models[0]
+        model = run_heuristic(cfg, scaled, "single", institution=0).models[0]
         test = scaled.test
         copies = ensemble_predict([model] * len(split.institutions), test.features)
         probs_equal = np.array_equal(copies, predict_proba(model, test.features))

@@ -18,6 +18,16 @@ from fedcycle.heuristics import MetricsRow
 from fedcycle.nn import LayerSpec, OptimizerConfig, init_model
 from fedcycle.transport import serialize
 
+
+def fresh_python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
 CONFIG = """
 dataset:
   kind: blobs
@@ -176,11 +186,7 @@ class TestRun:
                 f"assert main(['run', {str(config_path)!r}, '--output-dir', "
                 f"{str(tmp_path / 'out')!r}]) == 0; "
                 "print(sorted({'socket', 'select', 'selectors'} & set(sys.modules)))")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
+        out = fresh_python("-c", code, check=True).stdout
         assert out.splitlines()[-1] == "[]"
 
     def test_generated_dataset_dropped_once_split(self, tmp_path, monkeypatch):
@@ -437,6 +443,21 @@ class TestGradcheck:
         assert main(["gradcheck", *args]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {args[0]}: ")
+
+
+class TestModuleEntryPoint:
+    """`python -m fedcycle.cli` exits with the code `main` returns."""
+
+    def test_gradcheck_passes(self):
+        done = fresh_python("-m", "fedcycle.cli", "gradcheck", "--seeds", "1")
+        assert done.returncode == 0 and "PASS" in done.stdout
+
+    def test_missing_config_exits_2_with_one_line(self, tmp_path):
+        done = fresh_python("-m", "fedcycle.cli", "run", str(tmp_path / "missing.yaml"),
+                            cwd=tmp_path)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPartition:

@@ -175,22 +175,28 @@ class TestLoadPlan:
         assert type(plan.split_plan.k) is int  # an integer stays an int
 
 
+TWO_DOCUMENTS = "a: 1\n---\nb: 2\n"
 # Each YAML text that is not a document, and where its problem is.
 SYNTAX_ERRORS = {"unclosed": ("dataset: [unclosed\n", "line 2, column 1"),
                  "unhashable": ("[1]: 2\n", "line 1, column 1"),
+                 "documents": (TWO_DOCUMENTS, "line 2, column 1"),
                  "control": ("a: \x07\n", "position 3")}
+
+
+def use_loader(monkeypatch, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
 
 
 @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
 @pytest.mark.parametrize("case", SYNTAX_ERRORS)
 def test_yaml_error_is_one_line(tmp_path, capsys, monkeypatch, case, libyaml):
     """PyYAML's own message runs over two to four lines; the CLI prints its
-    problem after the file and where in it, on one line. The two loaders word
-    some problems differently but place them alike."""
-    if not libyaml:
-        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    elif not hasattr(yaml, "CSafeLoader"):
-        pytest.skip("PyYAML is built without libyaml")
+    context and problem after the file and where in it, on one line. The two
+    loaders word some problems differently but place them alike."""
+    use_loader(monkeypatch, libyaml)
     text, place = SYNTAX_ERRORS[case]
     path = tmp_path / "bad.yaml"
     path.write_text(text)
@@ -200,6 +206,17 @@ def test_yaml_error_is_one_line(tmp_path, capsys, monkeypatch, case, libyaml):
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {where}")
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_yaml_error_keeps_its_context(tmp_path, capsys, monkeypatch, libyaml):
+    """A problem that reads only after its context gets the context first."""
+    use_loader(monkeypatch, libyaml)
+    path = tmp_path / "bad.yaml"
+    path.write_text(TWO_DOCUMENTS)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: line 2, column 1: expected a single "
+                                       "document in the stream: but found another document\n")
 
 
 class TestBuildDataset:
@@ -322,6 +339,23 @@ def test_invalid_value_rejected_at_load(tmp_path, capsys, old, new, key):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {key}: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# Values that load yet that the dataset generator refuses: each must stop the
+# run with one error line naming the key, before any output is written.
+REFUSED_AT_BUILD = [
+    ("seed: 3", "seed: 3\n  patient_spread: -1.0", "dataset.patient_spread"),
+    ("seed: 3", "seed: 3\n  sample_jitter: -0.5", "dataset.sample_jitter"),
+]
+
+
+@pytest.mark.parametrize("old,new,key", REFUSED_AT_BUILD,
+                         ids=[key for _, _, key in REFUSED_AT_BUILD])
+def test_invalid_value_refused_at_build(tmp_path, capsys, old, new, key):
+    path = write_config(tmp_path, **{old: new})
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {key}: must be >= 0\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -562,8 +596,8 @@ def test_yaml_loaders_agree(tmp_path, monkeypatch):
     PyYAML's own SafeLoader where it is not (here, once CSafeLoader is gone).
     Each shipped config as written, each fuzz document, each fuzz value at
     each key (its first fuzz case) and each quick demo with a key written
-    twice (`DUPLICATES`) or with an exponent float (`EXPONENTS`) loads to an
-    equal plan under both, or
+    twice (`DUPLICATES`) or with an exponent float (`EXPONENTS`), and two
+    documents in one file (`TWO_DOCUMENTS`), loads to an equal plan under both, or
     fails under both with the same ConfigError, which the CLI prints as one
     `error:` line with exit 2 (the fuzz test checks that for every case)."""
     texts = [p.read_text() for p in sorted(ROOT.glob("configs/*.yaml"))]
@@ -573,6 +607,7 @@ def test_yaml_loaders_agree(tmp_path, monkeypatch):
     texts += [demo.replace(old, new) for old, new, _ in DUPLICATES.values()]
     texts += [demo.replace("learning_rate: 0.0005", f"learning_rate: {text}")
               for text in EXPONENTS]
+    texts.append(TWO_DOCUMENTS)
     path = tmp_path / "experiment.yaml"
 
     def outcomes():

@@ -1,19 +1,19 @@
 import itertools
 import json
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fedcycle import cli, heuristics, transport
+from fedcycle.config import build_experiment, load_plan
 from fedcycle.data import concat, gen_synthetic, normalize
 from fedcycle.heuristics import (ExperimentConfig, MetricsRow, accuracy_from_probs,
                                  ensemble_predict, evaluate, mlp_specs,
-                                 predict_proba, run_central,
-                                 run_cyclical_weight_transfer, run_ensemble,
-                                 run_heuristic, run_scaling_sweep,
-                                 run_single_institution,
-                                 run_single_weight_transfer, scale_split)
+                                 predict_proba, run_heuristic, run_scaling_sweep,
+                                 scale_split)
 from fedcycle.nn import PROB_CLAMP, LayerSpec, OptimizerConfig, init_model, l2_penalty, loss
 from fedcycle.partition import SplitPlan, pool, stratified_split
 from fedcycle.schedule import ExpDecayPolicy, PlateauPolicy
@@ -162,18 +162,18 @@ class TestMlpSpecs:
 class TestSingleAndCentral:
     def test_single_deterministic(self):
         split = tiny_scaled("single")
-        a = run_single_institution(tiny_config(), split, 0)
-        b = run_single_institution(tiny_config(), split, 0)
+        a = run_heuristic(tiny_config(), split, "single", institution=0)
+        b = run_heuristic(tiny_config(), split, "single", institution=0)
         assert a.test_accuracy == b.test_accuracy
         assert [r.val_loss for r in a.metrics] == \
             [r.val_loss for r in b.metrics]
 
     def test_single_index_out_of_range(self):
         with pytest.raises(IndexError):
-            run_single_institution(tiny_config(), tiny_scaled("single"), 5)
+            run_heuristic(tiny_config(), tiny_scaled("single"), "single", institution=5)
 
     def test_metrics_rows_well_formed(self):
-        res = run_central(tiny_config(), tiny_scaled("central"))
+        res = run_heuristic(tiny_config(), tiny_scaled("central"), "central")
         assert [r.global_epoch for r in res.metrics] == \
             list(range(1, len(res.metrics) + 1))
         assert all(r.institution is None for r in res.metrics)
@@ -181,7 +181,7 @@ class TestSingleAndCentral:
         assert res.metrics[0].learning_rate == 1e-3
 
     def test_lr_decays_along_run(self):
-        res = run_central(tiny_config(), tiny_scaled("central"))
+        res = run_heuristic(tiny_config(), tiny_scaled("central"), "central")
         lrs = [r.learning_rate for r in res.metrics]
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
 
@@ -192,11 +192,11 @@ class TestSingleAndCentral:
         plan = SplitPlan(k=2, patients_per_institution=20,
                          patients_validation=20, patients_test=20, seed=0)
         cfg = tiny_config(plateau=PlateauPolicy(10, 0.25, 2), max_epochs=150)
-        res = run_central(cfg, scale_split(stratified_split(ds, plan), "central"))
+        res = run_heuristic(cfg, scale_split(stratified_split(ds, plan), "central"), "central")
         assert res.test_accuracy >= 0.95
 
     def test_result_fields_in_range(self):
-        res = run_central(tiny_config(), tiny_scaled("central"))
+        res = run_heuristic(tiny_config(), tiny_scaled("central"), "central")
         for value in (res.train_accuracy, res.validation_accuracy,
                       res.test_accuracy, res.test_top_k):
             assert 0.0 <= value <= 1.0
@@ -253,7 +253,7 @@ class TestSingleAndCentral:
 
 class TestEnsemble:
     def test_members_differ_by_seed(self):
-        res = run_ensemble(tiny_config(), tiny_scaled("ensemble"))
+        res = run_heuristic(tiny_config(), tiny_scaled("ensemble"), "ensemble")
         assert len(res.models) == 2
         w0 = res.models[0].params[0]["W"]
         w1 = res.models[1].params[0]["W"]
@@ -269,14 +269,14 @@ class TestEnsemble:
                 test_evaluations.append(model)
             return evaluate(model, cohort, k)
         monkeypatch.setattr(heuristics, "evaluate", counting)
-        res = run_ensemble(tiny_config(max_epochs=3), split)
+        res = run_heuristic(tiny_config(max_epochs=3), split, "ensemble")
         assert test_evaluations == []
         probs = ensemble_predict(res.models, test.features)
         assert res.test_accuracy == accuracy_from_probs(probs, test.labels)["top1"]
 
     def test_identical_members_match_single_model(self):
         split = tiny_split()
-        res = run_single_institution(tiny_config(), scale_split(split, "single"), 0)
+        res = run_heuristic(tiny_config(), scale_split(split, "single"), "single", institution=0)
         model = res.models[0]
         test_features = split.test.features
         merged = ensemble_predict([model] * 4, test_features)
@@ -316,24 +316,26 @@ class TestSingleWeightTransfer:
 
     def test_visits_in_order_with_k_minus_1_transfers(self):
         split = tiny_scaled("single_transfer", k=3)
-        res = run_single_weight_transfer(self.frozen_config(), split)
+        res = run_heuristic(self.frozen_config(), split, "single_transfer")
         assert res.transfers == 2
         visited = [r.institution for r in res.metrics]
         assert visited == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
     def test_epochs_are_contiguous(self):
-        res = run_single_weight_transfer(self.frozen_config(), tiny_scaled("single_transfer", k=3))
+        res = run_heuristic(self.frozen_config(), tiny_scaled("single_transfer", k=3),
+                            "single_transfer")
         assert [r.global_epoch for r in res.metrics] == \
             list(range(1, len(res.metrics) + 1))
 
     def test_decay_ladder_advances_at_transfers(self):
-        res = run_single_weight_transfer(self.frozen_config(), tiny_scaled("single_transfer", k=3))
+        res = run_heuristic(self.frozen_config(), tiny_scaled("single_transfer", k=3),
+                            "single_transfer")
         # one decay available: phase B from the first plateau onward
         assert [r.phase for r in res.metrics] == ["A"] * 3 + ["B"] * 6
 
     def test_no_transfer_after_epoch_budget(self):
         cfg = replace(self.frozen_config(), max_epochs=4)
-        res = run_single_weight_transfer(cfg, tiny_scaled("single_transfer", k=4))
+        res = run_heuristic(cfg, tiny_scaled("single_transfer", k=4), "single_transfer")
         assert [r.institution for r in res.metrics] == [0, 0, 0, 1]
         assert res.transfers == 1
 
@@ -341,14 +343,14 @@ class TestSingleWeightTransfer:
 class TestCyclicalWeightTransfer:
     def test_visit_lengths_match_frequency(self):
         for freq in (1, 2, 3):
-            res = run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), freq)
+            res = run_heuristic(tiny_config(), tiny_scaled("cyclical"), "cyclical", frequency=freq)
             insts = [r.institution for r in res.metrics]
             # institution changes exactly at multiples of freq (round robin)
             for e, inst in enumerate(insts):
                 assert inst == (e // freq) % 2
 
     def test_transfer_count_matches_visits(self):
-        res = run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), 2)
+        res = run_heuristic(tiny_config(), tiny_scaled("cyclical"), "cyclical", frequency=2)
         visits = int(np.ceil(len(res.metrics) / 2))
         assert res.transfers in (visits - 1, visits)
 
@@ -357,16 +359,16 @@ class TestCyclicalWeightTransfer:
         # (max_decays+1) * patience * K epochs
         cfg = tiny_config(optimizer=OptimizerConfig("adam", 1e-300),
                           plateau=PlateauPolicy(2, 0.25, 1), max_epochs=100)
-        res = run_cyclical_weight_transfer(cfg, tiny_scaled("cyclical", k=2), 1)
+        res = run_heuristic(cfg, tiny_scaled("cyclical", k=2), "cyclical", frequency=1)
         assert len(res.metrics) == (1 + 1) * 2 * 2
 
     def test_bad_frequency(self):
         with pytest.raises(ValueError):
-            run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), 0)
+            run_heuristic(tiny_config(), tiny_scaled("cyclical"), "cyclical", frequency=0)
 
     def test_deterministic(self):
-        a = run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), 2)
-        b = run_cyclical_weight_transfer(tiny_config(), tiny_scaled("cyclical"), 2)
+        a = run_heuristic(tiny_config(), tiny_scaled("cyclical"), "cyclical", frequency=2)
+        b = run_heuristic(tiny_config(), tiny_scaled("cyclical"), "cyclical", frequency=2)
         assert [r.val_loss for r in a.metrics] == \
             [r.val_loss for r in b.metrics]
 
@@ -462,12 +464,18 @@ class TestScalingSweep:
                 run_scaling_sweep(tiny_config(), tiny_scaled("sweep", k=2), m_values)
 
 
-# Every run function, called as run(cfg, split); the sweep runs m = 1 and 2.
+KINDS = ["single", "central", "ensemble", "single_transfer", "cyclical"]
+
+
+def runner(kind):
+    """`run_heuristic` for one kind, called as run(cfg, split)."""
+    return lambda cfg, split: run_heuristic(cfg, split, kind)
+
+
+# Every kind of run, called as run(cfg, split); the sweep runs m = 1 and 2.
 every_run = pytest.mark.parametrize("run", [
-    lambda cfg, split: run_single_institution(cfg, split, 0), run_central, run_ensemble,
-    run_single_weight_transfer, lambda cfg, split: run_cyclical_weight_transfer(cfg, split, 1),
-    lambda cfg, split: run_scaling_sweep(cfg, split, [1, 2]),
-], ids=["single", "central", "ensemble", "single_transfer", "cyclical", "sweep"])
+    *map(runner, KINDS), lambda cfg, split: run_scaling_sweep(cfg, split, [1, 2]),
+], ids=[*KINDS, "sweep"])
 
 
 class TestDispatch:
@@ -511,15 +519,15 @@ class TestDispatch:
         with pytest.raises(ValueError, match=message):
             run(tiny_config(**overrides), tiny_scaled("central", num_classes=classes))
 
-    @pytest.mark.parametrize("run", [run_central, run_ensemble])
-    def test_poolless_split_refused_before_training(self, monkeypatch, run):
+    @pytest.mark.parametrize("kind", ["central", "ensemble"])
+    def test_poolless_split_refused_before_training(self, monkeypatch, kind):
         """A split scaled for a kind that pools nothing has no pool: central
         and ensemble refuse it before any training."""
         calls, train_on = [], heuristics.train_on
         monkeypatch.setattr(heuristics, "train_on",
                             lambda *args: calls.append(args) or train_on(*args))
         with pytest.raises(TypeError, match=r"scale_split\(split, 'central'\)"):
-            run(tiny_config(), tiny_scaled("cyclical"))
+            run_heuristic(tiny_config(), tiny_scaled("cyclical"), kind)
         assert calls == []
 
     @pytest.mark.parametrize("kind", ["single", "central", "ensemble"])
@@ -554,7 +562,95 @@ class TestScoredOnce:
 class TestEvaluate:
     def test_evaluate_matches_predict_proba(self):
         split = tiny_split()
-        model = run_single_institution(tiny_config(), scale_split(split, "single"), 0).models[0]
+        model = run_heuristic(tiny_config(), scale_split(split, "single"), "single").models[0]
         probs = predict_proba(model, split.test.features)
         assert evaluate(model, split.test) == \
             accuracy_from_probs(probs, split.test.labels)
+
+
+@pytest.fixture(scope="module")
+def demo():
+    """The quick demo's config at seed 0 and its raw split, with learning rate
+    0.05, patience 3 and at most 300 epochs, so that plateaus end its runs."""
+    plan = load_plan(Path(__file__).resolve().parents[1] / "configs" / "quick_demo.yaml")
+    dataset, cfg = build_experiment(plan)
+    cfg = replace(cfg, seed=0, optimizer=replace(cfg.optimizer, learning_rate=0.05),
+                  plateau=replace(cfg.plateau, patience=3), max_epochs=300)
+    return cfg, stratified_split(dataset, plan.split_plan)
+
+
+def same_run(a, b):
+    """Two one-model runs' metric rows and final theta are bitwise equal."""
+    return a.metrics == b.metrics and a.models[0].theta.tobytes() == b.models[0].theta.tobytes()
+
+
+class TestIdentities:
+    """Exact identities between kinds that the visit plans imply, on the quick demo."""
+
+    def test_cyclical_without_handoff_is_single_with_scaled_patience(self, demo):
+        """(a) Cyclical with frequency >= max_epochs never hands off: it is single
+        at institution 0 with the patience scaled by K."""
+        cfg, split = demo
+        scaled, k = scale_split(split, "cyclical"), len(split.institutions)
+        cyclical = run_heuristic(cfg, scaled, "cyclical", frequency=cfg.max_epochs)
+        single = run_heuristic(replace(cfg, plateau=replace(cfg.plateau, patience_scale=k)),
+                               scaled, "single", institution=0)
+        assert same_run(cyclical, single)
+        assert cyclical.test_accuracy == single.test_accuracy
+        assert cyclical.transfers == 0 and len(cyclical.metrics) < cfg.max_epochs
+
+    def test_single_transfer_on_one_institution_is_single_to_its_first_plateau(self, demo):
+        """(b) Single transfer over one institution ends at its first plateau:
+        it is single at institution 0, cut at that epoch."""
+        cfg, split = demo
+        scaled = scale_split(split, "single_transfer")
+        single = run_heuristic(cfg, scaled, "single")
+        first_plateau = [row.phase for row in single.metrics].count("A")
+        assert first_plateau < len(single.metrics)
+        alone = replace(scaled, institutions=scaled.institutions[:1])
+        transfer = run_heuristic(cfg, alone, "single_transfer")
+        assert transfer.metrics == single.metrics[:first_plateau]
+        assert same_run(transfer, run_heuristic(replace(cfg, max_epochs=first_plateau),
+                                                scaled, "single"))
+
+    @pytest.mark.parametrize("carry", [True, False], ids=["carry", "reset"])
+    def test_handoff_loses_nothing(self, demo, monkeypatch, carry):
+        """(c) A cyclical run whose hand-offs pass the model object through, with
+        no serialize, channel or deserialize, equals the real run."""
+        cfg, split = demo
+        cfg, scaled = replace(cfg, carry_opt_state=carry), scale_split(split, "cyclical")
+        real = run_heuristic(cfg, scaled, "cyclical", frequency=1)
+        handoffs = []
+        channel = SimpleNamespace(handoff=lambda model: handoffs.append(model) or model,
+                                  close=lambda: None)
+        monkeypatch.setattr(heuristics, "transport", SimpleNamespace(
+            CHANNELS={"memory": lambda: channel}, serialize=lambda model, **_: model,
+            deserialize=lambda model, specs: (model, None)))
+        passed = run_heuristic(cfg, scaled, "cyclical", frequency=1)
+        assert same_run(passed, real)
+        assert passed.transfers == real.transfers == len(handoffs) > 0
+
+    def test_sweep_at_k_is_cyclical(self, demo, monkeypatch):
+        """(d) The scaling sweep at m = K is cyclical on the full split."""
+        cfg, split = demo
+        scaled, k = scale_split(split, "sweep"), len(split.institutions)
+        runs, run_visits = [], heuristics._run_visits
+        monkeypatch.setattr(heuristics, "_run_visits",
+                            lambda *args: runs.append(run_visits(*args)) or runs[-1])
+        [(m, accuracy)] = run_scaling_sweep(cfg, scaled, [k], freq=2)
+        cyclical = run_heuristic(cfg, scaled, "cyclical", frequency=2)
+        (model, rows, *_), _ = runs
+        assert (m, accuracy) == (k, cyclical.test_accuracy)
+        assert rows == cyclical.metrics
+        assert model.theta.tobytes() == cyclical.models[0].theta.tobytes()
+
+    def test_ensemble_members_are_single_runs(self, demo):
+        """(e) Ensemble member i is single at institution i with seed seed + i."""
+        cfg, split = demo
+        scaled = scale_split(split, "ensemble")
+        ensemble = run_heuristic(cfg, scaled, "ensemble")
+        singles = [run_heuristic(replace(cfg, seed=cfg.seed + i), scaled, "single",
+                                 institution=i) for i in range(len(split.institutions))]
+        assert ensemble.metrics == [row for single in singles for row in single.metrics]
+        assert [m.theta.tobytes() for m in ensemble.models] == \
+            [single.models[0].theta.tobytes() for single in singles]
