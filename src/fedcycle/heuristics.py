@@ -18,7 +18,7 @@ import numpy as np
 from . import transport
 from .data import Dataset, DegenerateFeatureError, augment, normalize
 from .nn import (ModelState, OptimizerConfig, OptState, backward, forward,
-                 init_model, layout_of, loss, mlp_specs, opt_step)
+                 init_model, layout_of, loss, mlp_specs, opt_step, stack_models)
 from .partition import Split, pool
 from .schedule import (CONTINUE, STOP, ExpDecayPolicy, PlateauPolicy,
                        PlateauState, exp_decay_lr, observe)
@@ -175,20 +175,46 @@ def train_on(model: ModelState, cohort: Dataset, cfg: ExperimentConfig, lr: floa
              rng: np.random.Generator) -> int:
     """Train one epoch, a full pass in shuffled mini-batches, with fresh
     augmentation noise; returns the number of optimizer steps taken. The
-    cohort is expected to be normalized already."""
+    cohort is expected to be normalized already. Overflow in the passes is
+    left to `opt_step`'s finiteness check, which stops the run."""
     features = augment(cohort.features, cfg.augment_sigma, rng)
     perm = rng.permutation(len(cohort))
     starts = range(0, len(perm), cfg.batch_size)
-    for start in starts:
-        idx = perm[start:start + cfg.batch_size]
-        fp = forward(model, features[idx], rng=rng)
-        g = backward(model, fp, cohort.labels[idx], cfg.optimizer.l2_coeff)
-        opt_step(model, g, cfg.optimizer, lr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in starts:
+            idx = perm[start:start + cfg.batch_size]
+            fp = forward(model, features[idx], rng=rng)
+            g = backward(model, fp, cohort.labels[idx], cfg.optimizer.l2_coeff)
+            opt_step(model, g, cfg.optimizer, lr)
+    return len(starts)
+
+
+def _train_stack(stack: ModelState, models: list, cohorts: list, cfg: ExperimentConfig,
+                 lrs: list, rngs: list) -> int:
+    """`train_on` for R models at once, each on its own cohort (one length for
+    all) at its own learning rate, through their `stack_models` stack; returns
+    the steps each took. Each model's generator gives what `train_on` would
+    draw, in its order: the noise, the permutation, then each batch's dropout
+    mask. After each stacked step, each model's optimizer steps on its row of
+    the gradient, so every row ends bitwise as `train_on` would leave it."""
+    features = [augment(c.features, cfg.augment_sigma, rng) for c, rng in zip(cohorts, rngs)]
+    perms = [rng.permutation(len(c)) for c, rng in zip(cohorts, rngs)]
+    n = len(cohorts[0])  # the cohorts joined, each run's permutation moved onto its own rows
+    perm = np.stack(perms) + np.arange(0, n * len(models), n)[:, None]
+    features, labels = np.concatenate(features), np.concatenate([c.labels for c in cohorts])
+    starts = range(0, n, cfg.batch_size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in starts:
+            idx = perm[:, start:start + cfg.batch_size]
+            fp = forward(stack, features[idx], rng=rngs)
+            g = backward(stack, fp, labels[idx], cfg.optimizer.l2_coeff)
+            for model, row, lr in zip(models, g, lrs):
+                opt_step(model, row, cfg.optimizer, lr)
     return len(starts)
 
 
 def _visit_policy(cfg: ExperimentConfig, visits):
-    """The rules of a run, as a generator of requests that `_run_visits` answers:
+    """The rules of one run, as a generator of requests that `_run_visits` answers:
     ("epoch", cohort, lr) with (steps, train_acc, val_acc, val_loss), and
     ("handoff", origin, epoch) with None once the model has moved on. Returns
     the metrics rows, the transfer count and the optimizer steps.
@@ -224,36 +250,84 @@ def _visit_policy(cfg: ExperimentConfig, visits):
     return rows, transfers, steps
 
 
-def _run_visits(cfg: ExperimentConfig, visits, validation: Dataset):
-    """Answer `_visit_policy`'s requests on one model, opening the channel at
-    the first hand-off; returns the model, then the policy's rows, transfer
-    count and optimizer steps. It never sees the test cohort."""
-    model = _build_model(cfg)
-    rng = _train_rng(cfg)
-    policy = _visit_policy(cfg, visits)
-    channel = answer = None
-    try:
+class _Run:
+    """One member run as `_run_visits` drives it: its config, policy, model and
+    generator, the channel it opens at its first hand-off, its epoch count,
+    its pending epoch request (`cohort`, `lr`), the answer to its last one
+    and, once its policy returns, the policy's rows, transfer count and
+    optimizer steps (`end`)."""
+
+    def __init__(self, cfg: ExperimentConfig, visits):
+        self.cfg, self.policy = cfg, _visit_policy(cfg, visits)
+        self.model, self.rng = _build_model(cfg), _train_rng(cfg)
+        self.channel = self.answer = self.end = self.cohort = self.lr = None
+        self.epoch = 0
+
+    def next_epoch(self) -> bool:
+        """Send the policy its answer and take its hand-offs up to its next
+        epoch request; False once the run has ended."""
+        answer = self.answer
         while True:
             try:
-                request, *args = policy.send(answer)
+                request, *args = self.policy.send(answer)
             except StopIteration as end:
-                return (model, *end.value)
+                self.end = end.value
+                return False
             if request == "epoch":
-                cohort, lr = args
-                answer = (train_on(model, cohort, cfg, lr, rng), evaluate(model, cohort)["top1"],
-                          *_val_metrics(model, validation))
-                continue
-            origin, epoch = args
-            channel = channel or transport.CHANNELS[cfg.transport]()
-            data = transport.serialize(model, global_epoch=epoch, origin=origin,
-                                       carry_opt_state=cfg.carry_opt_state)
-            model, _ = transport.deserialize(channel.handoff(data), model.specs)
-            if not cfg.carry_opt_state:
-                model.opt_state = OptState.zeros(cfg.optimizer.kind, model.layout.size)
+                self.epoch += 1
+                self.cohort, self.lr = args
+                return True
+            self.handoff(*args)
             answer = None
+
+    def handoff(self, origin, epoch: int) -> None:
+        cfg = self.cfg
+        self.channel = self.channel or transport.CHANNELS[cfg.transport]()
+        data = transport.serialize(self.model, global_epoch=epoch, origin=origin,
+                                   carry_opt_state=cfg.carry_opt_state)
+        self.model, _ = transport.deserialize(self.channel.handoff(data), self.model.specs)
+        if not cfg.carry_opt_state:
+            self.model.opt_state = OptState.zeros(cfg.optimizer.kind, self.model.layout.size)
+
+
+def _run_visits(members, validation: Dataset) -> list:
+    """Answer the `_visit_policy` requests of a kind's member runs, its
+    (config, visits) pairs, in lockstep: each round, every live run takes its
+    hand-offs up to its next epoch request, the runs whose cohorts share a
+    length train that epoch as one stack (a run alone trains with `train_on`),
+    and each run is scored on its own. A run that ends leaves the stack.
+    Returns (model, rows, transfers, steps) per member. It never sees the
+    test cohort."""
+    runs = [_Run(cfg, visits) for cfg, visits in members]
+    stacked, stack = [], None  # the models the stack holds (kept alive, so ids stay theirs)
+    try:
+        live = runs
+        while live := [run for run in live if run.next_epoch()]:
+            groups = {}
+            for run in live:
+                groups.setdefault(len(run.cohort), []).append(run)
+            for group in groups.values():
+                run = group[0]
+                try:
+                    if len(group) == 1:
+                        steps = train_on(run.model, run.cohort, run.cfg, run.lr, run.rng)
+                    else:
+                        models = [run.model for run in group]
+                        if list(map(id, models)) != list(map(id, stacked)):
+                            stacked, stack = models, stack_models(models)
+                        steps = _train_stack(stack, models, [run.cohort for run in group],
+                                             run.cfg, [run.lr for run in group],
+                                             [run.rng for run in group])
+                except FloatingPointError as exc:
+                    raise FloatingPointError(f"in epoch {run.epoch}, {exc}") from exc
+                for run in group:
+                    run.answer = (steps, evaluate(run.model, run.cohort)["top1"],
+                                  *_val_metrics(run.model, validation))
     finally:
-        if channel is not None:
-            channel.close()
+        for run in runs:
+            if run.channel is not None:
+                run.channel.close()
+    return [(run.model, *run.end) for run in runs]
 
 
 def ensemble_predict(models, features: np.ndarray) -> np.ndarray:
@@ -297,8 +371,7 @@ def run_heuristic(cfg: ExperimentConfig, split: ScaledSplit, kind: str, *,
         raise ValueError(f"unknown heuristic {kind!r}")
     split = _scaled(split, cfg, pooled=kind in POOLED_KINDS)
     members = PLANS[kind](cfg, split, institution, frequency)
-    models, rows, transfers, steps = zip(*(_run_visits(member_cfg, visits, split.validation)
-                                          for member_cfg, visits in members))
+    models, rows, transfers, steps = zip(*_run_visits(members, split.validation))
     rows = [row for member_rows in rows for row in member_rows]
 
     def score(cohort, k=1):

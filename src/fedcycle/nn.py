@@ -2,6 +2,8 @@
 
 Dense layers, ReLU, batch norm, inverted dropout, and a sigmoid or softmax
 readout. Everything is float64 and deterministic given a seeded generator.
+The passes also run R models of one layout as one stack (`stack_models`):
+every array of a pass then carries a leading run axis of length R.
 """
 from __future__ import annotations
 
@@ -149,10 +151,12 @@ class Layout:
     running_size: int   # len of the running vector
 
     def views(self, flat: np.ndarray, slices: tuple | None = None) -> list:
-        """Per layer: dict name -> view into `flat` of each of `slices` (default: params)."""
-        views = [{} for _ in self.specs]
+        """Per layer: dict name -> view into `flat` of each of `slices` (default:
+        params). A flat array with a leading run axis, (R, size), gives views
+        with that axis, (R, *shape); its rows must be contiguous."""
+        views, lead = [{} for _ in self.specs], flat.shape[:-1]
         for i, name, start, stop, shape in self.params if slices is None else slices:
-            views[i][name] = flat[start:stop].reshape(shape)
+            views[i][name] = flat[..., start:stop].reshape(lead + shape)
         return views
 
 
@@ -197,7 +201,12 @@ class ModelState:
     """A model: its layout, its parameters in one float64 vector `theta`, its
     batch-norm running statistics in another, `running`, and its optimizer
     state. `params` and `stats` hold per-layer views into theta and running,
-    so writes must go through the arrays (``w[...] = x``), never rebind them."""
+    so writes must go through the arrays (``w[...] = x``), never rebind them.
+
+    A stack of R models (`stack_models`) is a ModelState whose theta and
+    running are (R, P) and (R, Q), one row per model, with views that carry
+    the run axis; its models keep their own optimizer states, so its own is
+    empty (kind None)."""
     layout: Layout = field(repr=False)
     theta: np.ndarray
     running: np.ndarray
@@ -212,6 +221,21 @@ class ModelState:
     @property
     def specs(self) -> tuple:
         return self.layout.specs
+
+
+def stack_models(models) -> ModelState:
+    """The stack of `models`, which share one layout: their theta and running
+    are copied into the rows of one (R, P) and one (R, Q) array, and each
+    model is re-pointed at its rows, so an update through either is seen by
+    both. A model's values do not change, and it keeps its optimizer state."""
+    layout = models[0].layout
+    if any(m.layout is not layout for m in models):
+        raise ValueError("a stack's models must share one layout")
+    theta, running = np.stack([m.theta for m in models]), np.stack([m.running for m in models])
+    for m, row, stats in zip(models, theta, running):
+        m.theta, m.running = row, stats
+        m.__post_init__()
+    return ModelState(layout, theta, running, OptState(None))
 
 
 def glorot_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -249,82 +273,92 @@ class Workspace:
     `probs` (the head's output) and `train`: with these buffers and the
     model, they are all that backward reads. The flat gradient and the
     backward buffers are made on the first backward pass, so a workspace
-    that only evaluates never holds them.
+    that only evaluates never holds them. A pass of a stack of `runs`
+    models gives every array a leading run axis of that length.
     """
 
-    def __init__(self, layout: Layout, rows: int):
+    def __init__(self, layout: Layout, rows: int, runs: int | None = None):
         self.layout = layout
         self.rows = rows
+        self.lead = lead = () if runs is None else (runs,)
         self.probs, self.train = None, False
         self.ins = [None] * len(layout.specs)
         self.out, self.aux = [], []
         for spec in layout.specs:
-            shape = (rows, spec.out_dim)
+            shape = (*lead, rows, spec.out_dim)
             self.out.append(np.empty(shape))
             if spec.kind == "relu":
                 aux = (np.empty(shape, dtype=bool),)                     # x > 0, for backward
             elif spec.kind == "batchnorm":
-                stat = (1, spec.out_dim)
+                stat = (*lead, 1, spec.out_dim)
                 aux = (np.empty(shape), np.empty(stat), np.empty(stat))  # xhat, batch mean, 1/std
             elif spec.kind == "dropout":
                 aux = (np.empty(shape), np.empty(shape, dtype=bool))     # mask, kept
             elif spec.kind == "sigmoid-head":
                 aux = (np.empty(shape), np.empty(shape, dtype=bool))     # 1 + e, z >= 0
             elif spec.kind == "softmax-head":
-                aux = (np.empty((rows, 1)),)                             # row max, row sum
+                aux = (np.empty((*lead, rows, 1)),)                      # row max, row sum
             else:
                 aux = ()
             self.aux.append(aux)
 
     @functools.cached_property
     def grad(self) -> np.ndarray:
-        """The flat gradient, laid out like theta."""
-        return np.empty(self.layout.size)
+        """The flat gradient, laid out like theta: one row per run of a stack."""
+        return np.empty((*self.lead, self.layout.size))
 
     @functools.cached_property
     def back(self) -> tuple:
         """Backward buffers: per-layer views of `grad`, the head's output
         gradient, and per layer the buffer of its input gradient (affine and
         heads above layer 0; None elsewhere)."""
-        dz = np.empty((self.rows, self.layout.specs[-1].out_dim))
-        din = [np.empty((self.rows, s.in_dim)) if i and "W" in PARAM_ORDER[s.kind] else None
+        dz = np.empty((*self.lead, self.rows, self.layout.specs[-1].out_dim))
+        din = [np.empty((*self.lead, self.rows, s.in_dim))
+               if i and "W" in PARAM_ORDER[s.kind] else None
                for i, s in enumerate(self.layout.specs)]
         return self.layout.views(self.grad), dz, din
 
 
 @functools.lru_cache(maxsize=32)
-def workspace(layout: Layout, rows: int) -> Workspace:
-    """The Workspace of `layout` at `rows` batch rows that train-mode passes
-    share: every pass through it overwrites the last one's arrays."""
-    return Workspace(layout, rows)
+def workspace(layout: Layout, rows: int, runs: int | None = None) -> Workspace:
+    """The Workspace of `layout` at `rows` batch rows, of a stack of `runs`
+    models if given, that train-mode passes share: every pass through it
+    overwrites the last one's arrays."""
+    return Workspace(layout, rows, runs)
 
 
 def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | None = None,
             *, train: bool = True) -> Workspace:
     """Run the network and return the pass: its Workspace, with `ins`,
-    `probs` and `train`. A pass is one of two kinds.
+    `probs` and `train`. A stack's pass (`stack_models`) takes one batch per
+    run, (R, rows, in_dim), and for dropout a sequence of R generators, run
+    r's masks drawn from the r-th; its products go through `np.matmul` over
+    the run axis, a single model's through `np.dot`. A pass is one of two
+    kinds.
 
     A train pass (the default) normalizes batch norm with the batch's
     statistics and updates the running averages in place, masks dropout
     when `dropout_rate > 0` with an inverted-scaling mask drawn from `rng`,
     keeps every layer's input intact in `ins`, and writes into the shared
-    `workspace(layout, rows)`: what it returns, and the gradient `backward`
+    `workspace(layout, rows[, runs])`: what it returns, and the gradient `backward`
     computes from it, hold only until the next train pass of that layout
     and batch size, by any model. An eval pass (`train=False`) normalizes
     with the running statistics, passes dropout through, changes nothing
     and writes into a fresh Workspace.
     """
-    if features.ndim != 2 or features.shape[1] != model.specs[0].in_dim:
-        raise ValueError(
-            f"expected input width {model.specs[0].in_dim}, got {features.shape}"
-        )
-    ws = (workspace if train else Workspace)(model.layout, len(features))
+    lead, specs = model.theta.shape[:-1], model.layout.specs
+    if features.shape[:-2] != lead or features.ndim != len(lead) + 2 \
+            or features.shape[-1] != specs[0].in_dim:
+        shape = ", ".join(map(str, (*lead, "rows", specs[0].in_dim)))
+        raise ValueError(f"expected input shaped ({shape}), got {features.shape}")
+    ws = (workspace if train else Workspace)(model.layout, features.shape[-2], *lead)
+    product = np.matmul if lead else np.dot
     a = x = np.asarray(features, dtype=np.float64)
-    for i, spec in enumerate(model.specs):
-        p, out, aux = model.params[i], ws.out[i], ws.aux[i]
-        ws.ins[i] = a
+    ins = ws.ins
+    for i, (spec, p, out, aux) in enumerate(zip(specs, model.params, ws.out, ws.aux)):
+        ins[i] = a
         if "W" in p:  # affine layers and both heads
-            np.dot(a, p["W"], out=out)
+            product(a, p["W"], out=out)
             out += p["b"]
         if spec.kind == "relu":
             if not train and a is not x:
@@ -335,9 +369,9 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
         elif spec.kind == "batchnorm":
             xhat, mu, ivar = aux
             if train:
-                np.add.reduce(a, axis=0, keepdims=True, out=mu)
-                mu /= len(a)  # a.mean's arithmetic, written into the workspace
-                var = a.var(axis=0, keepdims=True)
+                np.add.reduce(a, axis=-2, keepdims=True, out=mu)
+                mu /= a.shape[-2]  # a.mean's arithmetic, written into the workspace
+                var = a.var(axis=-2, keepdims=True)
                 run = model.stats[i]
                 run["mean"][...] = BN_DECAY * run["mean"] + (1.0 - BN_DECAY) * mu
                 run["var"][...] = BN_DECAY * run["var"] + (1.0 - BN_DECAY) * var
@@ -355,7 +389,10 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
                     raise ValueError("train-mode dropout needs a generator")
                 keep = 1.0 - spec.dropout_rate
                 mask, kept = aux
-                rng.random(out=mask)
+                if lead and len(rng) != lead[0]:
+                    raise ValueError(f"a stack of {lead[0]} runs needs {lead[0]} generators")
+                for gen, run_mask in zip(rng, mask) if lead else ((rng, mask),):
+                    gen.random(out=run_mask)
                 np.less(mask, keep, out=kept)
                 np.divide(kept, keep, out=mask)
                 np.multiply(a, mask, out=out)
@@ -373,10 +410,10 @@ def forward(model: ModelState, features: np.ndarray, rng: np.random.Generator | 
             np.minimum(np.maximum(e, PROB_CLAMP, out=e), 1.0 - PROB_CLAMP, out=e)
         elif spec.kind == "softmax-head":
             z, (col,) = out, aux
-            np.maximum.reduce(z, axis=1, keepdims=True, out=col)
+            np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
             z -= col
             e = np.exp(z, out=z)
-            np.add.reduce(e, axis=1, keepdims=True, out=col)
+            np.add.reduce(e, axis=-1, keepdims=True, out=col)
             e /= col
         a = out
     ws.probs, ws.train = a, train
@@ -413,7 +450,9 @@ def loss(probs: np.ndarray, labels: np.ndarray, model: ModelState, l2_coeff: flo
 def backward(model: ModelState, fp: Workspace, labels: np.ndarray,
              l2_coeff: float = 0.0) -> np.ndarray:
     """Analytic gradients of loss() w.r.t. every parameter, as one flat
-    vector laid out like theta (`Layout.views` splits it per layer).
+    vector laid out like theta (`Layout.views` splits it per layer); for a
+    stack, an (R, P) array whose row r is run r's gradient, from its labels
+    `labels[r]`.
 
     The vector is the forward pass's workspace's, so the next backward
     through that workspace overwrites it. Requires a train-mode pass
@@ -422,34 +461,37 @@ def backward(model: ModelState, fp: Workspace, labels: np.ndarray,
     if not fp.train:
         raise RuntimeError("backward needs activations from a train-mode forward pass")
     labels = np.asarray(labels)
-    n = len(labels)
+    n = labels.shape[-1]
     grads, dz, din = fp.back
     probs = fp.probs
-    if model.specs[-1].kind == "sigmoid-head":
-        np.subtract(probs, labels[:, None], out=dz)
+    product = np.matmul if fp.lead else np.dot
+    specs = model.layout.specs
+    if specs[-1].kind == "sigmoid-head":
+        np.subtract(probs, labels[..., None], out=dz)
     else:
         np.copyto(dz, probs)
-        dz[np.arange(n), labels] -= 1.0
+        rows = np.indices(labels.shape, sparse=True) if fp.lead else (np.arange(n),)
+        dz[(*rows, labels)] -= 1.0
     dz /= n
     da = dz
-    for i in range(len(model.specs) - 1, -1, -1):
-        spec, p, g, x, aux = model.specs[i], model.params[i], grads[i], fp.ins[i], fp.aux[i]
+    for i in range(len(specs) - 1, -1, -1):
+        spec, p, g, x, aux = specs[i], model.params[i], grads[i], fp.ins[i], fp.aux[i]
         if "W" in p:
-            np.dot(x.T, da, out=g["W"])
+            product(x.swapaxes(-1, -2), da, out=g["W"])
             if l2_coeff:
                 g["W"] += l2_coeff * p["W"]
-            np.add.reduce(da, axis=0, keepdims=True, out=g["b"])
+            np.add.reduce(da, axis=-2, keepdims=True, out=g["b"])
             if i:
-                da = np.dot(da, p["W"].T, out=din[i])
+                da = product(da, p["W"].swapaxes(-1, -2), out=din[i])
         elif spec.kind == "batchnorm":
             xhat, mu, ivar = aux
-            m = x.shape[0]
-            np.add.reduce(da * xhat, axis=0, keepdims=True, out=g["gamma"])
-            np.add.reduce(da, axis=0, keepdims=True, out=g["beta"])
+            m = x.shape[-2]
+            np.add.reduce(da * xhat, axis=-2, keepdims=True, out=g["gamma"])
+            np.add.reduce(da, axis=-2, keepdims=True, out=g["beta"])
             dxhat = da * p["gamma"]
-            dvar = np.sum(dxhat * (x - mu), axis=0, keepdims=True) * (-0.5) * ivar ** 3
-            dmu = -np.sum(dxhat, axis=0, keepdims=True) * ivar \
-                + dvar * np.mean(-2.0 * (x - mu), axis=0, keepdims=True)
+            dvar = np.sum(dxhat * (x - mu), axis=-2, keepdims=True) * (-0.5) * ivar ** 3
+            dmu = -np.sum(dxhat, axis=-2, keepdims=True) * ivar \
+                + dvar * np.mean(-2.0 * (x - mu), axis=-2, keepdims=True)
             da = dxhat * ivar + dvar * 2.0 * (x - mu) / m + dmu / m
         elif spec.kind == "relu":
             da *= np.greater(x, 0.0, out=aux[0])

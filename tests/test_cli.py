@@ -459,6 +459,21 @@ class TestModuleEntryPoint:
         assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]],
+                             ids=["default", "warnings-as-errors"])
+    def test_diverging_run_prints_one_line(self, tmp_path, warnings):
+        """A learning rate that overflows the parameters stops the run at
+        `opt_step`'s finiteness check, which names the epoch; the passes'
+        overflow warns nothing on the way, so stderr is that one line."""
+        text = DEMO.read_text().replace("learning_rate: 0.0005", "learning_rate: 1e300")
+        path = tmp_path / "diverging.yaml"
+        path.write_text(text.replace("max_epochs: 500", "max_epochs: 3"))
+        done = fresh_python(*warnings, "-m", "fedcycle.cli", "run", str(path),
+                            "--output-dir", str(tmp_path / "out"))
+        assert done.returncode == 1
+        assert done.stderr == ("error: heuristic 'cyclical' failed at seed 0: in epoch 1, "
+                               "non-finite parameter after update (layer 0, W)\n")
+
 
 class TestPartition:
     def test_manifest_only(self, config_path, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -273,6 +274,24 @@ class TestEnsemble:
         assert test_evaluations == []
         probs = ensemble_predict(res.models, test.features)
         assert res.test_accuracy == accuracy_from_probs(probs, test.labels)["top1"]
+
+    def test_members_in_stacks_and_alone_match_single_runs(self, monkeypatch):
+        """Members whose cohorts share a length train as one stack; a member
+        whose cohort is shorter trains alone. Each ends as its single run."""
+        split = tiny_scaled("ensemble", k=3)
+        split = replace(split, institutions=[*split.institutions[:2],
+                                             split.institutions[2].subset(np.arange(30))])
+        stacks, stack_models = [], heuristics.stack_models
+        monkeypatch.setattr(heuristics, "stack_models",
+                            lambda models: stacks.append(len(models)) or stack_models(models))
+        cfg = tiny_config(max_epochs=12)
+        res = run_heuristic(cfg, split, "ensemble")
+        assert stacks == [2]
+        singles = [run_heuristic(replace(cfg, seed=cfg.seed + i), split, "single", institution=i)
+                   for i in range(3)]
+        assert res.metrics == [row for single in singles for row in single.metrics]
+        assert [m.theta.tobytes() for m in res.models] == \
+            [single.models[0].theta.tobytes() for single in singles]
 
     def test_identical_members_match_single_model(self):
         split = tiny_split()
@@ -639,18 +658,112 @@ class TestIdentities:
                             lambda *args: runs.append(run_visits(*args)) or runs[-1])
         [(m, accuracy)] = run_scaling_sweep(cfg, scaled, [k], freq=2)
         cyclical = run_heuristic(cfg, scaled, "cyclical", frequency=2)
-        (model, rows, *_), _ = runs
+        [(model, rows, *_)], _ = runs  # the sweep's one member, then cyclical's
         assert (m, accuracy) == (k, cyclical.test_accuracy)
         assert rows == cyclical.metrics
         assert model.theta.tobytes() == cyclical.models[0].theta.tobytes()
 
     def test_ensemble_members_are_single_runs(self, demo):
-        """(e) Ensemble member i is single at institution i with seed seed + i."""
+        """(e) Ensemble member i is single at institution i with seed seed + i.
+        The members train in lockstep as one stack, and they stop at different
+        epochs, so the one that runs longer steps alone after the other leaves."""
         cfg, split = demo
         scaled = scale_split(split, "ensemble")
         ensemble = run_heuristic(cfg, scaled, "ensemble")
         singles = [run_heuristic(replace(cfg, seed=cfg.seed + i), scaled, "single",
                                  institution=i) for i in range(len(split.institutions))]
+        assert len({len(single.metrics) for single in singles}) == len(singles)
         assert ensemble.metrics == [row for single in singles for row in single.metrics]
         assert [m.theta.tobytes() for m in ensemble.models] == \
             [single.models[0].theta.tobytes() for single in singles]
+
+
+def oracle_plan(kind, k, institution, frequency, patience, max_decays, max_epochs, lr0, draws):
+    """The README table's visit plan for one run, written out with no generator
+    and no schedule module: the metrics rows (epoch, phase, institution, lr),
+    the transfer count and the step count. Epoch e trains for draws[e - 1][0]
+    steps and scores a validation loss of draws[e - 1][1]."""
+    scale = k if kind == "cyclical" else 1
+    if kind == "single":
+        visits = [(institution, max_epochs)]
+    elif kind == "central":
+        visits = [(None, max_epochs)]
+    elif kind == "single_transfer":
+        visits = [(i, None) for i in range(k)]
+    else:
+        visits = [(v % k, frequency) for v in range(max_epochs)]  # enough round-robin visits
+    rows, transfers, steps, epoch = [], 0, 0, 0
+    best, since, decays, lr = math.inf, 0, 0, lr0
+    for v, (inst, length) in enumerate(visits):
+        if epoch >= max_epochs:
+            break
+        if v > 0:
+            transfers += 1
+            if length is None:
+                since = 0
+        done = 0
+        while epoch < max_epochs and (length is None or done < length):
+            epoch += 1
+            done += 1
+            epoch_steps, val_loss = draws[epoch - 1]
+            steps += epoch_steps
+            rows.append((epoch, "ABCD"[decays], inst, lr))
+            if best == math.inf:       # the seeding epoch counts as no improvement
+                best = val_loss
+                since += 1
+            elif val_loss < best:      # only a strict improvement resets the count
+                best, since = val_loss, 0
+                continue
+            else:
+                since += 1
+            if since < patience * scale:
+                continue
+            if decays < max_decays:    # a plateau decays the rate while decays remain
+                decays, lr, since = decays + 1, lr * 0.25, 0
+            elif length is not None:   # and after the last decay stops the run,
+                return rows, transfers, steps
+            if length is None:         # but a visit of None epochs ends at any plateau
+                break
+    return rows, transfers, steps
+
+
+class TestVisitPlanOracle:
+    """`run_heuristic` drives the real plans, policy and driver with training and
+    scoring replaced by a seeded stream of small integer losses, so ties and
+    plateaus are common; its rows and counts must equal `oracle_plan`'s."""
+    CASES = 500  # per kind
+
+    @staticmethod
+    def scripted(monkeypatch, draws):
+        epochs = iter(draws)
+        current = []
+
+        def train_on(model, cohort, cfg, lr, rng):
+            current[:] = next(epochs)
+            return current[0]
+        monkeypatch.setattr(heuristics, "train_on", train_on)
+        monkeypatch.setattr(heuristics, "evaluate", lambda model, cohort, k=1: {"top1": 0.5})
+        monkeypatch.setattr(heuristics, "_val_metrics",
+                            lambda model, validation: (0.5, float(current[1])))
+
+    @pytest.mark.parametrize("kind", ["single", "central", "single_transfer", "cyclical"])
+    def test_runs_follow_the_oracle(self, monkeypatch, kind):
+        rng = np.random.default_rng(["single", "central", "single_transfer",
+                                     "cyclical"].index(kind))
+        splits = {k: tiny_scaled(kind, k=k) for k in range(1, 6)}
+        for _ in range(self.CASES):
+            k, frequency, patience = (int(v) for v in rng.integers([1, 1, 1], [6, 8, 5]))
+            max_decays, max_epochs = int(rng.integers(0, 4)), int(rng.integers(1, 61))
+            institution = int(rng.integers(0, k))
+            draws = [(int(s), int(v)) for s, v in rng.integers([1, 0], [4, 5], (max_epochs, 2))]
+            cfg = tiny_config(plateau=PlateauPolicy(patience, 0.25, max_decays),
+                              max_epochs=max_epochs)
+            with monkeypatch.context() as patch:
+                self.scripted(patch, draws)
+                res = run_heuristic(cfg, splits[k], kind, institution=institution,
+                                    frequency=frequency)
+            want = oracle_plan(kind, k, institution, frequency, patience, max_decays,
+                               max_epochs, cfg.optimizer.learning_rate, draws)
+            got = ([(r.global_epoch, r.phase, r.institution, r.learning_rate)
+                    for r in res.metrics], res.transfers, res.optimizer_steps)
+            assert got == want, (k, institution, frequency, patience, max_decays, max_epochs)

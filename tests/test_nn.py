@@ -9,7 +9,7 @@ from fedcycle.data import Dataset
 from fedcycle.heuristics import ExperimentConfig, mlp_specs, train_on
 from fedcycle.nn import (HEAD_KINDS, LAYER_KINDS, OPT_ROLES, LayerSpec, OptimizerConfig,
                          backward, forward, glorot_init, grad_check, gradcheck_suite,
-                         init_model, loss, opt_step, validate_specs, workspace)
+                         init_model, loss, opt_step, stack_models, validate_specs, workspace)
 from fedcycle.schedule import PlateauPolicy
 from test_transport import GOLDEN_MODELS
 
@@ -620,3 +620,74 @@ def test_alternating_training_matches_sequential():
         return _state_digest(a), _state_digest(b)
 
     assert models("aaabbb") == models("ababab")
+
+
+# gradcheck_suite's architectures: (classes, l2, batch norm, dropout rate)
+SUITE_ARCHITECTURES = [(2, 0.0, True, 0.5), (3, 0.01, True, 0.0), (2, 0.001, False, 0.3),
+                       (4, 0.0, False, 0.0)]
+
+
+class TestStackedStep:
+    """R models stepped as one stack end bitwise where R single models end:
+    theta, the running statistics and the optimizer state. A single model's
+    products go through np.dot, a stack's (R = 1 too) through np.matmul."""
+
+    @staticmethod
+    def runs(arch, kind, r, n=37):
+        """R models of `arch`, each with its own cohort of n rows and generator."""
+        classes, l2, with_bn, drop = arch
+        cfg = OptimizerConfig(kind, 0.05 if kind == "sgd-momentum" else 0.01, l2_coeff=l2)
+        specs = mlp_specs(4, [8], classes, batchnorm=with_bn, dropout=drop)
+        out = []
+        for seed in range(r):
+            rng = np.random.default_rng([seed, 9])
+            x, y = rng.normal(size=(n, 4)), rng.integers(0, classes, n)
+            out.append((init_model(specs, cfg, rng), x, y, np.random.default_rng([seed, 1])))
+        return cfg, out
+
+    @staticmethod
+    def batches(n, size=8):
+        """Two epochs of batches of `size`, each ending with a partial batch,
+        and each batch's learning-rate scale."""
+        return [(slice(s, s + size), 1.0 if epoch == 0 else 0.25)
+                for epoch in range(2) for s in range(0, n, size)]
+
+    @pytest.mark.parametrize("kind", ["sgd-momentum", "adam"])
+    @pytest.mark.parametrize("arch", SUITE_ARCHITECTURES,
+                             ids=["bn-dropout", "softmax-bn-l2", "dropout-l2", "softmax"])
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_stack_steps_as_single_models(self, arch, kind, r):
+        cfg, singles = self.runs(arch, kind, r)
+        for m, x, y, rng in singles:
+            for rows, scale in self.batches(len(x)):
+                g = backward(m, forward(m, x[rows], rng), y[rows], cfg.l2_coeff)
+                opt_step(m, g, cfg, cfg.learning_rate * scale)
+        _, stacked = self.runs(arch, kind, r)
+        models = [m for m, *_ in stacked]
+        net = stack_models(models)
+        x, y = np.stack([x for _, x, _, _ in stacked]), np.stack([y for _, _, y, _ in stacked])
+        rngs = [rng for *_, rng in stacked]
+        assert net.theta.shape == (r, models[0].layout.size)
+        for rows, scale in self.batches(x.shape[1]):
+            g = backward(net, forward(net, x[:, rows], rngs), y[:, rows], cfg.l2_coeff)
+            assert g.shape == net.theta.shape
+            for m, row in zip(models, g):
+                opt_step(m, row, cfg, cfg.learning_rate * scale)
+        assert [_state_digest(m) for m in models] == [_state_digest(m) for m, *_ in singles]
+        assert [m.opt_state.step for m in models] == [m.opt_state.step for m, *_ in singles]
+        for row, m in enumerate(models):  # each model still reads and writes its rows
+            assert m.theta.base is net.theta and m.running.base is net.running
+            assert np.array_equal(net.theta[row], m.theta)
+
+    def test_stack_refuses_mixed_layouts_and_short_generators(self):
+        a = init_model(mlp_specs(4, [8], 2), OptimizerConfig("adam", 0.1), np.random.default_rng(0))
+        b = init_model(mlp_specs(4, [6], 2), OptimizerConfig("adam", 0.1), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="share one layout"):
+            stack_models([a, b])
+        c = init_model(mlp_specs(4, [8], 2, dropout=0.5), OptimizerConfig("adam", 0.1),
+                       np.random.default_rng(0))
+        net = stack_models([c, c])
+        with pytest.raises(ValueError, match="a stack of 2 runs needs 2 generators"):
+            forward(net, np.zeros((2, 3, 4)), [np.random.default_rng(0)])
+        with pytest.raises(ValueError, match=r"expected input shaped \(2, rows, 4\)"):
+            forward(net, np.zeros((3, 4)), [np.random.default_rng(0)] * 2)
